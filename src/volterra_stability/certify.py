@@ -15,17 +15,16 @@ the inequality's direction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charfun import (
     NonConvergence,
+    _circle_modulus,
     e_bounds,
     maximize_delta,
     pn_roots,
-    sn_coefficients,
 )
 from .kernel import (
     KernelSpec,
@@ -232,8 +231,7 @@ def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
 
 
 def _circle_zero_candidates(kernel: KernelSpec, n: int, grid_points: int):
-    theta = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    vals = np.abs(np.polyval(sn_coefficients(kernel, n), np.exp(1j * theta)))
+    theta, _, vals = _circle_modulus(kernel, n, grid_points)
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]

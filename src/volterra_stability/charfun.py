@@ -232,14 +232,19 @@ def e_bounds(roots: RootSet) -> EBound:
     return EBound("E2", float(min(abs(1.0 - m[outside - 1]), abs(1.0 - nxt)) ** n), 1.0)
 
 
+def _circle_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles theta, points z = e^(i theta) and |s_n(z)| on a uniform unit-circle grid."""
+    theta = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
+    z = np.exp(1j * theta)
+    return theta, z, np.abs(np.polyval(sn_coefficients(kernel, n), z))
+
+
 def circle_min_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[float, complex]:
     """Minimum of |s_n| over a uniform grid on the unit circle, with argmin."""
     if grid_points < 16:
         raise ValueError("grid_points must be >= 16")
     if n < 1:
         raise ValueError("n must be >= 1")
-    theta = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    z = np.exp(1j * theta)
-    vals = np.abs(np.polyval(sn_coefficients(kernel, n), z))
+    _, z, vals = _circle_modulus(kernel, n, grid_points)
     i = int(np.argmin(vals))
     return float(vals[i]), complex(z[i])

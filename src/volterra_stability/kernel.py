@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -137,17 +138,6 @@ class SumEnclosure:
     def contains(self, value: float) -> bool:
         return self.is_finite and self.lo <= value <= self.hi
 
-    def shift(self, offset: float) -> "SumEnclosure":
-        """Translate a finite enclosure by an exactly-known offset (1 ulp padding)."""
-        if not self.is_finite:
-            return self
-        lo = self.lo + offset
-        hi = self.hi + offset
-        if offset != 0.0:
-            lo = np.nextafter(lo, -math.inf)
-            hi = np.nextafter(hi, math.inf)
-        return SumEnclosure.finite(float(lo), float(hi))
-
 
 # ---------------------------------------------------------------------------
 # term evaluation
@@ -190,34 +180,25 @@ def terms(kernel: KernelSpec, count: int) -> np.ndarray:
 # All routines below bound Sum_{i>=start} i^w * c * q^i / (i^alpha (i+1)^beta).
 # "absolute" replaces every term by its absolute value first.
 
+_ZERO = SumEnclosure.finite(0.0, 0.0)
+
 
 def _pad(lo: float, hi: float, dirt: float) -> SumEnclosure:
     """Outward-round an interval by a bound on accumulated float error.
 
     The absolute floor covers subnormal quantization, where relative padding
-    underflows to nothing.
+    underflows to nothing.  Endpoints beyond float range give Unknown.
     """
-    slack = dirt + 4.0 * _EPS * max(abs(lo), abs(hi)) + 1e-305
-    return SumEnclosure.finite(lo - slack, hi + slack)
-
-
-def _geom_zeroth(q: float, m: int) -> float:
-    # Sum_{i>=m} q^i, |q| < 1
-    return q ** m / (1.0 - q)
+    slack = dirt + 4.0 * _EPS * max(-lo, hi) + 1e-305
+    lo, hi = lo - slack, hi + slack
+    if not -math.inf < lo <= hi < math.inf:
+        return SumEnclosure.unknown()
+    return SumEnclosure("finite", lo, hi)
 
 
 def _geom_first(q: float, m: int) -> float:
     # Sum_{i>=m} i q^i, |q| < 1
     return q ** m * (m - (m - 1) * q) / (1.0 - q) ** 2
-
-
-def _poly_factor(i: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    f = np.ones_like(i, dtype=float)
-    if alpha:
-        f *= np.power(i.astype(float), alpha)
-    if beta:
-        f *= np.power(i.astype(float) + 1.0, beta)
-    return f
 
 
 def _tail_enclosure(
@@ -233,147 +214,74 @@ def _tail_enclosure(
     if absolute:
         c, q = abs(c), abs(q)
     if c == 0.0 or q == 0.0:
-        return SumEnclosure.finite(0.0, 0.0)
+        return _ZERO
     aq = abs(q)
-    s_eff = alpha + beta - weight
-
-    if aq > 1.0:
-        # |terms| -> infinity: divergent in every mode
+    s = alpha + beta - weight
+    if aq > 1.0 or (q == 1.0 and s <= 1.0) or (q == -1.0 and s <= 0.0):
+        # |terms| grow, sum like i^-s with s <= 1, or do not tend to zero
         return SumEnclosure.divergent()
-
-    if aq == 1.0:
-        if q > 0.0:
-            if s_eff <= 1.0:
-                return SumEnclosure.divergent()
-            if alpha == 1.0 and beta == 1.0 and weight == 0:
-                # telescoping: Sum_{i>=m} 1/(i(i+1)) = 1/m, exact
-                v = c / start
-                return SumEnclosure.finite(v, v)
-            enc = _positive_integral(abs(c), alpha, beta, start, weight, precision)
-            return _apply_sign(enc, c)
-        # q == -1, signed alternating
-        if s_eff > 1.0:
-            return _alternating_abs_convergent(c, alpha, beta, start, weight, precision)
-        if s_eff <= 0.0:
-            # |terms| do not tend to zero
-            return SumEnclosure.divergent()
-        return _alternating_conditional(c, alpha, beta, start, weight, precision)
-
-    # 0 < |q| < 1: geometric domination
-    if alpha == 0.0 and beta == 0.0:
-        closed = _geom_zeroth(q, start) if weight == 0 else _geom_first(q, start)
-        v = c * closed
+    if q == 1.0 and alpha == 1.0 and beta == 1.0 and weight == 0:
+        # telescoping: Sum_{i>=m} 1/(i(i+1)) = 1/m
+        v = c / start
+        return SumEnclosure.finite(v, v) if Fraction(v) * start == Fraction(c) else _pad(v, v, 0.0)
+    if aq < 1.0 and alpha == 0.0 and beta == 0.0:
+        # geometric: Sum_{i>=m} q^i = q^m / (1-q)
+        v = c * (q ** start / (1.0 - q) if weight == 0 else _geom_first(q, start))
         return _pad(v, v, 0.0)
-    if q > 0.0:
-        enc = _geom_dominated(abs(c), q, alpha, beta, start, weight, precision, signed=False)
-        return _apply_sign(enc, c)
-    return _geom_dominated(c, q, alpha, beta, start, weight, precision, signed=True)
+
+    # Bracketed cases: each supplies log R(m), a bound on the rest past m.
+    log_c = math.log(abs(c))
+    if q == 1.0:
+        # integral test: term_i <= |c| i^-s, so R(m) = |c| m^(1-s) / (s-1)
+        log_s1 = math.log(s - 1.0)
+
+        def log_rem(m):
+            return log_c - (s - 1.0) * math.log(m) - log_s1
+
+    elif q == -1.0:
+        # alternating: |term_i| decreases for i > (weight - alpha)/s, where
+        # d/di log|term_i| < 0; from there on the rest past m is at most
+        # |term_{m+1}|, and before it no bound is claimed
+        lowest = (weight - alpha) / s - 1.0
+
+        def log_rem(m):
+            if m < lowest:
+                return math.inf
+            return log_c + (weight - alpha) * math.log(m + 1) - beta * math.log(m + 2)
+
+    else:
+        # geometric domination: the polynomial factor frozen at its value at m+1
+        log_q, log_1q = math.log(aq), math.log1p(-aq)
+
+        def log_rem(m):
+            geo = (m + 1) * log_q - log_1q
+            if weight:
+                geo += math.log1p(m * (1.0 - aq)) - log_1q
+            return log_c + geo - alpha * math.log(m + 1) - beta * math.log(m + 2)
+
+    return _bracketed(c, q, alpha, beta, start, weight, precision, log_rem)
 
 
-def _apply_sign(enc: SumEnclosure, c: float) -> SumEnclosure:
-    if not enc.is_finite or c > 0:
-        return enc
-    return SumEnclosure.finite(-enc.hi, -enc.lo)
+def _stop_index(log_rem, first: int, log_target: float, last: int) -> int | None:
+    """Smallest m in [first, last] with log_rem(m) <= log_target, else None.
 
-
-def _positive_integral(
-    c: float, alpha: float, beta: float, start: int, weight: int, precision: float
-) -> SumEnclosure:
-    """Positive series at |q| = 1: explicit terms plus an integral-test remainder.
-
-    term_i <= i^(weight - alpha - beta), so the tail past M is at most
-    c * M^(1-s) / (s-1) with s = alpha + beta - weight > 1.
+    log_rem is non-increasing: doubling brackets m, bisection pins it.
     """
-    s = alpha + beta - weight
-    # leave headroom for the outward float padding
-    m_stop = (c / (0.75 * precision * (s - 1.0))) ** (1.0 / (s - 1.0))
-    if not math.isfinite(m_stop) or m_stop > _TERM_BUDGET:
-        return SumEnclosure.unknown()
-    m_stop = max(start, int(math.ceil(m_stop)))
-    partial = 0.0
-    abs_accum = 0.0
-    i0 = start
-    while i0 <= m_stop:
-        i1 = min(m_stop, i0 + _CHUNK - 1)
-        i = np.arange(i0, i1 + 1, dtype=np.int64)
-        t = c * np.power(i.astype(float), float(weight)) / _poly_factor(i, alpha, beta)
-        partial += float(np.sum(t))
-        abs_accum += float(np.sum(np.abs(t)))
-        i0 = i1 + 1
-    rem = c * m_stop ** (1.0 - s) / (s - 1.0)
-    dirt = _EPS * abs_accum * 4.0
-    return _pad(partial, partial + rem, dirt)
+    lo, hi = first - 1, first
+    while log_rem(hi) > log_target:
+        if hi >= last:
+            return None
+        lo, hi = hi, min(last, 2 * hi - first + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_rem(mid) <= log_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def _alternating_abs_convergent(
-    c: float, alpha: float, beta: float, start: int, weight: int, precision: float
-) -> SumEnclosure:
-    """q = -1 with alpha+beta-weight > 1: bound the remainder by the absolute tail."""
-    s = alpha + beta - weight
-    half = 0.375 * precision
-    m_stop = (abs(c) / (half * (s - 1.0))) ** (1.0 / (s - 1.0))
-    if not math.isfinite(m_stop) or m_stop > _TERM_BUDGET:
-        return SumEnclosure.unknown()
-    m_stop = max(start, int(math.ceil(m_stop)))
-    partial = 0.0
-    abs_accum = 0.0
-    i0 = start
-    while i0 <= m_stop:
-        i1 = min(m_stop, i0 + _CHUNK - 1)
-        i = np.arange(i0, i1 + 1, dtype=np.int64)
-        sign = np.where(i % 2 == 0, 1.0, -1.0)
-        t = c * sign * np.power(i.astype(float), float(weight)) / _poly_factor(i, alpha, beta)
-        partial += float(np.sum(t))
-        abs_accum += float(np.sum(np.abs(t)))
-        i0 = i1 + 1
-    rem = abs(c) * m_stop ** (1.0 - s) / (s - 1.0)
-    dirt = _EPS * abs_accum * 4.0
-    return _pad(partial - rem, partial + rem, dirt)
-
-
-def _alternating_conditional(
-    c: float, alpha: float, beta: float, start: int, weight: int, precision: float
-) -> SumEnclosure:
-    """q = -1, 0 < alpha+beta-weight <= 1: alternating-series remainder bound.
-
-    Valid once |terms| decrease monotonically; the remainder after M is at most
-    the first omitted |term|.  Falls back to Unknown when the budget cannot push
-    that bound below the requested precision.
-    """
-    s = alpha + beta - weight
-    half = 0.375 * precision
-    m_stop = (abs(c) / half) ** (1.0 / s)
-    if not math.isfinite(m_stop) or m_stop > _TERM_BUDGET:
-        return SumEnclosure.unknown()
-    m_stop = max(start + 2, int(math.ceil(m_stop)))
-    partial = 0.0
-    abs_accum = 0.0
-    monotone_from = start
-    prev = math.inf
-    i0 = start
-    while i0 <= m_stop + 1:
-        i1 = min(m_stop + 1, i0 + _CHUNK - 1)
-        i = np.arange(i0, i1 + 1, dtype=np.int64)
-        mag = abs(c) * np.power(i.astype(float), float(weight)) / _poly_factor(i, alpha, beta)
-        rises = np.nonzero(np.diff(np.concatenate(([prev], mag))) > 0)[0]
-        if rises.size:
-            monotone_from = int(i[rises[-1]])
-        prev = float(mag[-1])
-        sign = np.where(i % 2 == 0, 1.0, -1.0) * math.copysign(1.0, c)
-        keep = i <= m_stop
-        partial += float(np.sum(sign[keep] * mag[keep]))
-        abs_accum += float(np.sum(mag[keep]))
-        i0 = i1 + 1
-    if monotone_from > m_stop - 1:
-        # could not confirm monotone decrease before the cutoff
-        return SumEnclosure.unknown()
-    bound_i = m_stop + 1
-    rem = abs(c) * bound_i ** weight / (bound_i ** alpha * (bound_i + 1) ** beta)
-    dirt = _EPS * abs_accum * 4.0
-    return _pad(partial - rem, partial + rem, dirt)
-
-
-def _geom_dominated(
+def _bracketed(
     c: float,
     q: float,
     alpha: float,
@@ -381,52 +289,82 @@ def _geom_dominated(
     start: int,
     weight: int,
     precision: float,
-    signed: bool,
+    log_rem,
 ) -> SumEnclosure:
-    """|q| < 1 with polynomial factors: explicit terms + geometric dominator tail.
+    """Explicit terms start..m plus the remainder bound R(m), padded once.
 
-    After summing through M, the rest is bounded by the pure geometric series
-    with the polynomial factor frozen at its largest remaining value.
+    m is the first index with R(m) <= 0.75 * precision, halved for the
+    two-sided bracket of a sign-changing (q < 0) series, which leaves
+    headroom for the padding.
     """
-    aq = abs(q)
-    ac = abs(c)
+    two_sided = q < 0.0
+    # capped so that exp(log_rem(m)) stays in float range
+    log_target = min(700.0, math.log(precision) + math.log(0.375 if two_sided else 0.75))
+    m = _stop_index(log_rem, start, log_target, start + _TERM_BUDGET - 1)
+    if m is None:
+        return SumEnclosure.unknown()
     partial = 0.0
     abs_accum = 0.0
-    i0 = start
-    target = 0.75 * precision / (2.0 if signed else 1.0)
-    chunk = 512
-    while True:
-        i1 = i0 + chunk - 1
-        i = np.arange(i0, i1 + 1, dtype=np.int64)
-        with np.errstate(under="ignore"):
-            t = c * np.power(q, i.astype(float)) / _poly_factor(i, alpha, beta)
+    for i0 in range(start, m + 1, _CHUNK):
+        i = np.arange(i0, min(m, i0 + _CHUNK - 1) + 1, dtype=float)
+        with np.errstate(under="ignore", over="ignore"):
+            t = c * np.power(q, i)
+            if alpha:
+                t /= np.power(i, alpha)
+            if beta:
+                t /= np.power(i + 1.0, beta)
             if weight:
-                t *= i.astype(float)
+                t *= i
         partial += float(np.sum(t))
         abs_accum += float(np.sum(np.abs(t)))
-        m = i1
-        poly_floor = (m + 1) ** alpha * (m + 2) ** beta
-        if weight == 0:
-            rem = ac * aq ** (m + 1) / (1.0 - aq) / poly_floor
-        else:
-            rem = ac * _geom_first(aq, m + 1) / poly_floor
-        if rem <= target:
-            break
-        if m - start > _TERM_BUDGET:
-            return SumEnclosure.unknown()
-        i0 = i1 + 1
-        chunk = min(chunk * 4, _CHUNK)
-    dirt = _EPS * abs_accum * 4.0
-    if signed:
-        return _pad(partial - rem, partial + rem, dirt)
-    # positive series: partial is a certified lower bound
-    return _pad(partial, partial + rem, dirt)
+    # exp of a log is good to ~1e-11 relative whenever R(m) clears _pad's floor
+    rem = math.exp(log_rem(m)) * (1.0 + 1e-10)
+    if two_sided:
+        lo, hi = partial - rem, partial + rem
+    else:
+        # same-signed terms: the partial sum is one end
+        lo, hi = (partial, partial + rem) if c > 0.0 else (partial - rem, partial)
+    return _pad(lo, hi, 4.0 * _EPS * abs_accum)
 
 
 # ---------------------------------------------------------------------------
 # public series operations
 
 _MODES = {"plain": (0, False), "absolute": (0, True), "first_moment": (1, False), "first_moment_abs": (1, True)}
+
+
+def _prefix_sum(parts, exact: Fraction | None = None) -> tuple[float, float] | None:
+    """fsum of the prefix contributions ``parts`` and a bound on its error.
+
+    None when a part or the sum leaves float range.  The bound is 0 when the
+    fsum equals ``exact``, else 4*eps*Sum|part|, which covers the rounding of
+    each part and of the fsum.
+    """
+    try:
+        parts = list(parts)
+        total = math.fsum(parts)
+        dirt = 4.0 * _EPS * sum(map(abs, parts))
+    except (OverflowError, ValueError):
+        return None
+    if exact is not None and math.isfinite(total) and Fraction(total) == exact:
+        dirt = 0.0
+    return total, dirt
+
+
+def _add(prefix: tuple[float, float] | None, tail: SumEnclosure) -> SumEnclosure:
+    """Prefix sum plus tail enclosure, padded unless both are exact and one is 0.
+
+    A divergent tail stays divergent.
+    """
+    if tail.is_divergent:
+        return tail
+    if prefix is None or not tail.is_finite:
+        return SumEnclosure.unknown()
+    total, dirt = prefix
+    lo, hi = total + tail.lo, total + tail.hi
+    if dirt == 0.0 and (total == 0.0 or tail.lo == tail.hi == 0.0):
+        return SumEnclosure.finite(lo, hi)
+    return _pad(lo, hi, dirt)
 
 
 def series_sum(kernel: KernelSpec, mode: str = "plain", precision: float = 1e-12) -> SumEnclosure:
@@ -441,30 +379,28 @@ def series_sum(kernel: KernelSpec, mode: str = "plain", precision: float = 1e-12
     if not precision > 0:
         raise ValueError("precision must be positive")
     weight, absolute = _MODES[mode]
-    vals = [v for v in kernel.prefix]
-    if absolute:
-        pref = math.fsum(abs(v) * (i + 1) ** weight for i, v in enumerate(vals))
-    else:
-        pref = math.fsum(v * (i + 1) ** weight for i, v in enumerate(vals))
+    vals = [abs(v) for v in kernel.prefix] if absolute else list(kernel.prefix)
+    parts = [v * (i + 1) ** weight for i, v in enumerate(vals)]
+    pref = _prefix_sum(parts, sum(Fraction(v) * (i + 1) ** weight for i, v in enumerate(vals)))
     t = kernel.tail
     if t.is_zero:
-        return SumEnclosure.finite(pref, pref)
-    enc = _tail_enclosure(t.c, t.q, t.alpha, t.beta, len(vals) + 1, weight, absolute, precision)
-    return enc.shift(pref)
+        return _add(pref, _ZERO)
+    return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, len(vals) + 1, weight, absolute, precision))
 
 
 def tail_abs_sum(kernel: KernelSpec, n: int, precision: float = 1e-12) -> SumEnclosure:
     """Certified enclosure of L_n = Sum_{i>n} |a_i|."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    npre = len(kernel.prefix)
-    pref = math.fsum(abs(v) for v in kernel.prefix[n:]) if n < npre else 0.0
+    if not precision > 0:
+        raise ValueError("precision must be positive")
+    parts = [abs(v) for v in kernel.prefix[n:]]
+    pref = _prefix_sum(parts, sum(map(Fraction, parts)))
     t = kernel.tail
     if t.is_zero:
-        return SumEnclosure.finite(pref, pref)
-    start = max(n, npre) + 1
-    enc = _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, 0, True, precision)
-    return enc.shift(pref)
+        return _add(pref, _ZERO)
+    start = max(n, len(kernel.prefix)) + 1
+    return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, 0, True, precision))
 
 
 def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -> SumEnclosure:
@@ -478,16 +414,22 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
         raise ValueError("precision must be positive")
     if abs(t) >= radius_of_convergence(kernel):
         return SumEnclosure.unknown()
-    powers = [t ** (i + 1) for i in range(len(kernel.prefix))]
-    pref = math.fsum(v * p for v, p in zip(kernel.prefix, powers))
-    dirt = 4.0 * _EPS * math.fsum(abs(v * p) for v, p in zip(kernel.prefix, powers))
+    pref = _prefix_sum(v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
     tm = kernel.tail
     if tm.is_zero:
-        return SumEnclosure.finite(pref - dirt, pref + dirt)
-    enc = _tail_enclosure(tm.c, tm.q * t, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, False, precision)
-    if not enc.is_finite:
-        return enc
-    return SumEnclosure.finite(enc.lo + pref - dirt, enc.hi + pref + dirt)
+        return _add(pref, _ZERO)
+    start = len(kernel.prefix) + 1
+    ratio = tm.q * t
+    # fl(q*t) is within eps*|q*t| of q*t, which moves term n by at most
+    # n*eps*|c|*bar^n; summed over n >= 1 that is eps*|c|*bar/(1-bar)^2
+    bar = abs(ratio) * (1.0 + _EPS)
+    if bar >= 1.0:
+        return SumEnclosure.unknown()
+    enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, start, 0, False, precision)
+    if pref is None or not enc.is_finite:
+        return SumEnclosure.unknown()
+    total, dirt = pref
+    return _pad(total + enc.lo, total + enc.hi, dirt + _EPS * abs(tm.c) * bar / (1.0 - bar) ** 2)
 
 
 def radius_of_convergence(kernel: KernelSpec) -> float:

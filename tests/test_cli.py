@@ -61,6 +61,25 @@ def test_certify_stdout_line(tmp_path, capsys):
     assert payload["final"]["verdict"] == "asymptotically_stable"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": 1, "alpha": 1.0000001, "beta": 0}},
+        {"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": -1, "alpha": 1.0000001, "beta": 0}},
+        {"prefix": [1e308, 1e308], "tail": {"kind": "zero"}},
+    ],
+)
+def test_certify_beyond_float_range_reports(tmp_path, capsys, payload):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["certify", "--kernel", str(path), "--steps", "200"]) == 0
+    out = capsys.readouterr().out
+    line, _, text = out.partition("\n")
+    report = json.loads(text)
+    assert line.startswith(report["final"]["verdict"] + " (")
+    assert report["attempts"][0]["criterion"] == "AbsoluteSum"
+
+
 def test_malformed_kernel_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"prefix": [1.0], "tail": {"kind": "parametric", "c": 1.0, "q": 0.5, "alpha": -3.0, "beta": 0.0}}')

@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volterra_stability import (
@@ -147,6 +148,44 @@ def test_tail_abs_divergent_for_growing_ratio():
 def test_tail_abs_rejects_negative_index():
     with pytest.raises(ValueError):
         tail_abs_sum(renewal_kernel(), -1)
+    with pytest.raises(ValueError, match="precision"):
+        tail_abs_sum(rouche_table_kernel(), 0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# edges of float range
+
+
+@pytest.mark.parametrize("q", [1.0, -1.0])
+def test_series_at_unit_ratio_slow_decay_is_unknown(q):
+    # the stop index for a tail like 1/n^(1+1e-7) is far past the term budget
+    k = KernelSpec((), TailModel.parametric(1.0, q, 1.0000001, 0.0))
+    assert series_sum(k, "plain").status == "unknown"
+    assert series_sum(k, "absolute").status == "unknown"
+    assert tail_abs_sum(k, 3).status == "unknown"
+    assert series_sum(k, "first_moment_abs").is_divergent
+
+
+def test_prefix_beyond_float_range_is_unknown():
+    k = KernelSpec((1e308, 1e308), TailModel.zero())
+    assert series_sum(k, "absolute").status == "unknown"
+    assert series_sum(k, "first_moment").status == "unknown"
+    assert tail_abs_sum(k, 0).status == "unknown"
+    assert tail_abs_sum(k, 1) == series_sum(KernelSpec((1e308,), TailModel.zero()), "absolute")
+    assert power_series_value(k, 0.5).is_finite
+
+
+def test_prefix_sums_contain_exact_rational(rng):
+    for _ in range(500):
+        prefix = tuple(float(v) for v in rng.normal(size=int(rng.integers(1, 8))) * 10.0 ** rng.integers(-5, 5))
+        k = KernelSpec(prefix, TailModel.zero())
+        exact = sum(abs(Fraction(v)) for v in prefix)
+        enc = tail_abs_sum(k, 0)
+        assert Fraction(enc.lo) <= exact <= Fraction(enc.hi)
+        assert (enc.width == 0.0) == (Fraction(enc.lo) == exact)
+        moment = series_sum(k, "first_moment")
+        exact = sum(Fraction(v) * (i + 1) for i, v in enumerate(prefix))
+        assert Fraction(moment.lo) <= exact <= Fraction(moment.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +214,14 @@ def test_bracketing_geometric_contains_closed_form(rng):
 
 
 def test_telescoping_exact_width_zero():
+    # Sum_{i>n} |c|/(i(i+1)) = |c|/(n+1): a point exactly when the float quotient is exact
     for c in (1.0, -2.5, 0.3):
         k = KernelSpec((), TailModel.parametric(c, 1.0, 1.0, 1.0))
         for n in range(0, 12):
             enc = tail_abs_sum(k, n)
-            assert enc.width == 0.0
-            assert enc.lo == abs(c) / (n + 1)
+            true = Fraction(abs(c)) / (n + 1)
+            assert Fraction(enc.lo) <= true <= Fraction(enc.hi)
+            assert (enc.width == 0.0) == (Fraction(abs(c) / (n + 1)) == true)
 
 
 def test_tail_monotonicity(rng):
@@ -358,3 +399,161 @@ def test_geometric_closed_form_bracketing(q, c, n_extra):
     m = n_extra + 1
     closed = abs(c) * q ** m / (1.0 - q)
     assert enc.lo <= closed <= enc.hi
+
+
+# ---------------------------------------------------------------------------
+# soundness: every finite enclosure holds the value computed by mpmath at
+# 50 digits.  Each branch of the tail enclosure gets its own case generator.
+
+_BRANCHES = (
+    "closed_geometric",
+    "telescoping",
+    "integral",
+    "alternating_absolute",
+    "alternating_conditional",
+    "geometric_dominated",
+)
+# s = alpha + beta - weight just above 1, where the remainder bounds are weakest
+_S_ABOVE_ONE = (1.0 + 1e-7, 1.001, 1.05, 1.5, 3.0)
+_S_UP_TO_ONE = (1e-3, 0.3, 1.0 - 1e-7, 1.0)
+# mode -> (weight, absolute)
+_MODES = {"plain": (0, False), "absolute": (0, True), "first_moment": (1, False), "first_moment_abs": (1, True)}
+_EDGE_Q = (1.0 - 1e-3, -(1.0 - 1e-3))
+
+
+def _tail_ref(q, alpha, beta, weight, m):
+    """Sum_{i>=m} q^i i^(weight-alpha) (i+1)^(-beta) at the working precision."""
+    q, a, b = mpmath.mpf(q), mpmath.mpf(alpha), mpmath.mpf(beta)
+    s = a + b - weight
+
+    def term(i):
+        return q**i * mpmath.mpf(i) ** (weight - a) * mpmath.mpf(i + 1) ** -b
+
+    if abs(q) <= 0.9:
+        return mpmath.nsum(term, [m, mpmath.inf])
+    if q == 1 and a == b == 1 and weight == 0:
+        return mpmath.mpf(1) / m
+    if q == 1 and b == 0:
+        return mpmath.zeta(s, m)
+    if q == 1:
+        # (i+1)^-b = i^-b (1 + 1/i)^-b turns the sum into Hurwitz zetas,
+        # converging like p^-k once the first 32 terms are summed directly
+        p = m + 32
+        total, k = mpmath.fsum(term(i) for i in range(m, p)), 0
+        while True:
+            part = mpmath.binomial(-b, k) * mpmath.zeta(s + k, p)
+            total += part
+            if abs(part) <= mpmath.mpf(10) ** -60 * abs(total):
+                return total
+            k += 1
+    if b == 0:
+        # few head terms, all of the size of the tail: no cancellation to speak of
+        full = -mpmath.altzeta(s) if q == -1 else mpmath.re(mpmath.polylog(s, q))
+        return full - mpmath.fsum(term(i) for i in range(1, m))
+    assert q == -1
+    return mpmath.nsum(term, [m, mpmath.inf])
+
+
+def _ref_value(kernel, weight, absolute, n=0, t=None):
+    """Sum_{i>n} w(a_i) (t^i), prefix included, at 50 digits."""
+    tm = kernel.tail
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for i, v in enumerate(kernel.prefix[n:], start=n + 1):
+            v = mpmath.mpf(abs(v) if absolute else v)
+            total += v * i**weight * (mpmath.mpf(t) ** i if t is not None else 1)
+        if not tm.is_zero:
+            c, q = (abs(tm.c), abs(tm.q)) if absolute else (tm.c, tm.q)
+            ratio = mpmath.mpf(q) * mpmath.mpf(t) if t is not None else q
+            m = max(n, len(kernel.prefix)) + 1
+            total += mpmath.mpf(c) * _tail_ref(ratio, tm.alpha, tm.beta, weight, m)
+        return total
+
+
+def _holds(enc, value) -> bool:
+    # the reference itself is good to about 45 of its 50 digits
+    slack = abs(value) * mpmath.mpf(10) ** -45
+    return mpmath.mpf(enc.lo) - slack <= value <= mpmath.mpf(enc.hi) + slack
+
+
+@st.composite
+def _tail_case(draw, branch, modes=tuple(_MODES)):
+    """(kernel, mode) with mode in ``modes``, whose tail enclosure takes ``branch``."""
+    prefix = tuple(draw(st.lists(st.floats(-4.0, 4.0), max_size=3)))
+    # subnormal, tiny and ordinary scales
+    c = draw(st.sampled_from([5e-324, 3e-310, 1e-200, 1e-9, 1.0, 40.0])) * draw(st.sampled_from([1.0, -1.0, 0.7]))
+    if branch == "closed_geometric":
+        q = draw(st.sampled_from(_EDGE_Q) | st.floats(-0.99, 0.99).filter(bool))
+        return KernelSpec(prefix, TailModel.parametric(c, q)), draw(st.sampled_from(modes))
+    # |q| = 1 takes the absolute modes to the q = 1 branches
+    folds = st.sampled_from([1.0, -1.0])
+    if branch == "telescoping":
+        mode = draw(st.sampled_from([m for m in modes if m in ("plain", "absolute")]))
+        q = draw(folds) if mode == "absolute" else 1.0
+        return KernelSpec(prefix, TailModel.parametric(c, q, 1.0, 1.0)), mode
+    if branch.startswith("alternating"):
+        mode = draw(st.sampled_from([m for m in modes if m in ("plain", "first_moment")]))
+        q = -1.0
+        s = draw(st.sampled_from(_S_ABOVE_ONE if branch == "alternating_absolute" else _S_UP_TO_ONE))
+    elif branch == "integral":
+        mode = draw(st.sampled_from(modes))
+        q = draw(folds) if _MODES[mode][1] else 1.0
+        s = draw(st.sampled_from(_S_ABOVE_ONE))
+    else:
+        mode = draw(st.sampled_from(modes))
+        q = draw(st.sampled_from(_EDGE_Q) | st.floats(-0.9, 0.9).filter(bool))
+        s = draw(st.sampled_from([1e-7, 0.5, 2.5])) - _MODES[mode][0]
+    weight = _MODES[mode][0]
+    # the polylog closed form needs beta = 0 where |q| is near 1 but not 1
+    beta = 0.0 if q in _EDGE_Q else min(draw(st.sampled_from([0.0, 0.5, 1.0])), s + weight)
+    alpha = s + weight - beta
+    assume(not (alpha == beta == 1.0 and weight == 0))
+    return KernelSpec(prefix, TailModel.parametric(c, q, alpha, beta)), mode
+
+
+_PRECISIONS = st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12])
+
+
+@pytest.mark.parametrize("branch", _BRANCHES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_series_sum_contains_mpmath_value(branch, data):
+    kernel, mode = data.draw(_tail_case(branch))
+    enc = series_sum(kernel, mode, data.draw(_PRECISIONS))
+    if enc.is_finite:
+        assert _holds(enc, _ref_value(kernel, *_MODES[mode]))
+
+
+@pytest.mark.parametrize("branch", ["closed_geometric", "telescoping", "integral", "geometric_dominated"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_tail_abs_sum_contains_mpmath_value(branch, data):
+    kernel, _ = data.draw(_tail_case(branch, ("absolute",)))
+    n = data.draw(st.integers(0, 5))
+    enc = tail_abs_sum(kernel, n, data.draw(_PRECISIONS))
+    if enc.is_finite:
+        assert _holds(enc, _ref_value(kernel, 0, True, n=n))
+
+
+@pytest.mark.parametrize("branch", ["closed_geometric", "geometric_dominated"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_power_series_value_contains_mpmath_value(branch, data):
+    kernel, _ = data.draw(_tail_case(branch, ("plain",)))
+    # a(t) has the tail ratio q*t: keep |q t| < 1, close to 1 where the
+    # reference has a closed form
+    near_one = st.sampled_from([0.999, -0.999]) if kernel.tail.beta == 0.0 else st.nothing()
+    u = data.draw(near_one | st.floats(-0.9, 0.9))
+    t = u / abs(kernel.tail.q) if not kernel.tail.is_zero else u
+    enc = power_series_value(kernel, t)
+    if enc.is_finite:
+        assert _holds(enc, _ref_value(kernel, 0, False, t=t))
+
+
+def test_power_series_value_covers_rounded_ratio():
+    # fl(q*t) = 0.999 sits below q*t, and a(t) = q t / (1 - q t) moves by ~1e-11 with it
+    q, t = 0.9063520300666572, 1.1022207341738166
+    enc = power_series_value(KernelSpec((), TailModel.parametric(1.0, q)), t)
+    with mpmath.workdps(50):
+        r = mpmath.mpf(q) * mpmath.mpf(t)
+        assert _holds(enc, r / (1 - r))
