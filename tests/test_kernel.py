@@ -429,8 +429,18 @@ def _tail_ref(q, alpha, beta, weight, m):
     def term(i):
         return q**i * mpmath.mpf(i) ** (weight - a) * mpmath.mpf(i + 1) ** -b
 
-    if abs(q) <= 0.9:
-        return mpmath.nsum(term, [m, mpmath.inf])
+    if abs(q) < 0.95:
+        # direct sum (nsum's extrapolation misses alternating geometric tails,
+        # e.g. q = -0.6595 from m = 3 by 8%): |term_{j+1}/term_j| is at most
+        # rho_j = |q| (1 + 1/j)^max(weight-a, 0), falling in j, so once
+        # rho_i < 1 the rest from i on is at most |term_i| / (1 - rho_i)
+        p, total, i = max(weight - a, 0), mpmath.mpf(0), m
+        while True:
+            total += term(i)
+            i += 1
+            rho, nxt = abs(q) * (1 + mpmath.mpf(1) / i) ** p, abs(term(i))
+            if rho < 1 and nxt / (1 - rho) <= mpmath.mpf(10) ** -60 * abs(total):
+                return total
     if q == 1 and a == b == 1 and weight == 0:
         return mpmath.mpf(1) / m
     if q == 1 and b == 0:
