@@ -15,25 +15,31 @@ the inequality's direction.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charfun import (
     NonConvergence,
+    RootSet,
     _circle_modulus,
     e_bounds,
     maximize_delta,
     pn_roots,
 )
 from .kernel import (
+    _EPS,
     KernelSpec,
+    TailModel,
     kernel_id,
     power_series_value,
     radius_of_convergence,
     series_sum,
     support_gcd,
     tail_abs_sum,
+    terms,
 )
 from .simulate import (
     BOUNDED_NON_DECAYING,
@@ -150,32 +156,86 @@ def test_efp(kernel: KernelSpec) -> Certificate:
     )
 
 
+def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
+    """Float bounds U >= a(t) at t = +grid (row 0) and t = -grid (row 1).
+
+    a_1..a_K by Horner, K = max(N, 512), padded by (4K + 64) eps times the
+    Horner sum of |a_k| |t|^k, which covers the rounding of the computed a_k,
+    of Horner (gamma_2K) and of the final additions, plus (K + 1)(|c| + 2)
+    times the smallest subnormal for terms that underflow.  The rest is at most
+    E (|t|/g)^(K+1) with E = Sum_{k>K} |a_k| g^k certified at the grid's far
+    end g.  Entries are inf or nan where the coefficients or E leave float
+    range, so those points count as candidates.
+    """
+    k_max = max(kernel.prefix_len, 512)
+    a = terms(kernel, k_max)
+    g = float(grid[-1])
+    tm = kernel.tail
+    if tm.is_zero or tm.q == 0.0:
+        far = 0.0
+    else:
+        # the ratio rounded up bounds every term of the true tail from above
+        ratio = math.nextafter(abs(tm.q) * g, math.inf)
+        enc = tail_abs_sum(KernelSpec((), TailModel.parametric(abs(tm.c), ratio, tm.alpha, tm.beta)), k_max)
+        far = enc.hi if enc.is_finite else math.inf
+    x = np.stack([grid, -grid])
+    with np.errstate(all="ignore"):
+        val = np.zeros_like(x)
+        mag = np.zeros_like(grid)
+        for ak in a[:0:-1]:
+            val = (val + ak) * x
+            mag = (mag + abs(ak)) * grid
+        rest = far * (grid / g) ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * _EPS)
+        tiny = (k_max + 1) * (abs(tm.c) + 2.0) * math.ulp(0.0)
+        return val + rest + ((4 * k_max + 64) * _EPS * (mag + rest) + tiny)
+
+
 def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096, precision: float = 1e-10) -> Certificate:
     """Certified sign change of b(t) = 1 - a(t) on the real segment inside
     both the unit disk and the convergence disk proves a real characteristic
-    root there, hence instability."""
+    root there, hence instability.
+
+    The grid is scanned outward from 0 on each half-axis.  Certified
+    enclosures of a(t) are computed only where a float upper bound on a(t)
+    exceeds 1, plus the walk back to the last point with certified b > 0,
+    which anchors the bracket; the verdict and witness are those of a scan
+    that encloses a(t) at every grid point.
+    """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     span = min(1.0, radius_of_convergence(kernel))
     grid = np.linspace(0.0, span, grid_points // 2 + 2)[1:-1]
-    for sign in (1.0, -1.0):
-        anchor = 0.0  # b(0) = 1, certified positive
-        for t in sign * grid:
-            enc = power_series_value(kernel, float(t), precision)
-            if not enc.is_finite:
+    bound = _value_upper_bound(kernel, grid)
+    for points, upper in zip((grid, -grid), bound):
+        enclose = functools.cache(lambda i, points=points: power_series_value(kernel, float(points[i]), precision))
+        # b_hi < 0 needs a(t) >= enc.lo > 1, so only points with U > 1 can fire
+        for j in np.flatnonzero(~(upper <= 1.0)):
+            enc = enclose(j)
+            if not enc.is_finite or 1.0 - enc.lo >= 0.0:
                 continue
-            b_lo, b_hi = 1.0 - enc.hi, 1.0 - enc.lo
-            if b_hi < 0.0:
-                lo_t, hi_t = (anchor, float(t)) if sign > 0 else (float(t), anchor)
-                return Certificate(
-                    UNSTABLE,
-                    "RealAxisRoot",
-                    RIGOROUS,
-                    {"root_bracket": [lo_t, hi_t], "b_hi": b_hi, "t": float(t)},
-                )
-            if b_lo > 0.0:
-                anchor = float(t)
+            # anchor: the last point before t with certified b > 0, else b(0) = 1
+            anchor = 0.0
+            for i in range(j - 1, -1, -1):
+                prev = enclose(i)
+                if prev.is_finite and 1.0 - prev.hi > 0.0:
+                    anchor = float(points[i])
+                    break
+            t = float(points[j])
+            return Certificate(
+                UNSTABLE,
+                "RealAxisRoot",
+                RIGOROUS,
+                {"root_bracket": sorted((anchor, t)), "b_hi": 1.0 - enc.lo, "t": t},
+            )
     return _na("RealAxisRoot", reason="no certified sign change", span=span)
+
+
+def _roots(kernel: KernelSpec, n: int) -> RootSet | NonConvergence:
+    """pn_roots(kernel, n), or the NonConvergence it raised."""
+    try:
+        return pn_roots(kernel, n)
+    except NonConvergence as e:
+        return e
 
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
@@ -183,10 +243,12 @@ def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     characteristic function to stay root-free on the closed unit disk."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        roots = pn_roots(kernel, n)
-    except NonConvergence as e:
-        return _na("RoucheStable", reason=str(e), n=n)
+    return _rouche_stable(kernel, n, _roots(kernel, n))
+
+
+def _rouche_stable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence) -> Certificate:
+    if isinstance(roots, NonConvergence):
+        return _na("RoucheStable", reason=str(roots), n=n)
     r_up = roots.r_n + roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_up >= 1.0:
@@ -206,10 +268,12 @@ def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     disk: cheap E-bounds first, the maximized delta profile as backup."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        roots = pn_roots(kernel, n)
-    except NonConvergence as e:
-        return _na("RoucheUnstable", reason=str(e), n=n)
+    return _rouche_unstable(kernel, n, _roots(kernel, n))
+
+
+def _rouche_unstable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence) -> Certificate:
+    if isinstance(roots, NonConvergence):
+        return _na("RoucheUnstable", reason=str(roots), n=n)
     r_down = roots.r_n - roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_down <= 1.0:
@@ -245,18 +309,24 @@ def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 40
     stability.  Never rigorous: zero order is not certified numerically."""
     if n < 16:
         raise ValueError("n must be >= 16")
+    return _marginal_stable(
+        kernel, n, grid_points, lambda: test_real_axis_root(kernel, grid_points), lambda: _roots(kernel, n)
+    )
+
+
+def _marginal_stable(kernel: KernelSpec, n: int, grid_points: int, axis, roots) -> Certificate:
+    """test_marginal_stable with the real-axis certificate from ``axis()``
+    and the degree-n roots, or their NonConvergence, from ``roots()``."""
     moment = series_sum(kernel, "first_moment_abs", 1e-6)
     if not moment.is_finite:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
-    axis = test_real_axis_root(kernel, grid_points)
-    if axis.fired:
+    if axis().fired:
         return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
-    try:
-        roots = pn_roots(kernel, n)
-    except NonConvergence as e:
-        return _na("MarginalStable", HEURISTIC, reason=str(e))
-    if roots.r_n > _MARGINAL_ROOT_SLACK:
-        return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=roots.r_n)
+    found = roots()
+    if isinstance(found, NonConvergence):
+        return _na("MarginalStable", HEURISTIC, reason=str(found))
+    if found.r_n > _MARGINAL_ROOT_SLACK:
+        return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
     theta, vals, idx = _circle_zero_candidates(kernel, n, grid_points)
     if idx.size == 0:
         return _na("MarginalStable", HEURISTIC, reason="no near-zero on the circle", circle_min=float(np.min(vals)))
@@ -358,21 +428,20 @@ def certify(
     record(cert)
     if cert.fired:
         return finish(cert)
-    cert = test_real_axis_root(kernel, grid_points)
-    record(cert)
-    if cert.fired:
-        return finish(cert)
-    for n in range(1, max_degree + 1):
-        cert = test_rouche_stable(kernel, n)
-        record(cert, n=n)
-        if cert.fired:
-            return finish(cert)
-    for n in range(1, max_degree + 1):
-        cert = test_rouche_unstable(kernel, n)
-        record(cert, n=n)
-        if cert.fired:
-            return finish(cert)
-    heuristic = test_marginal_stable(kernel, max(200, max_degree), grid_points)
+    axis = test_real_axis_root(kernel, grid_points)
+    record(axis)
+    if axis.fired:
+        return finish(axis)
+    # each degree's roots (or their NonConvergence) once per call
+    roots_at = functools.cache(lambda n: _roots(kernel, n))
+    for rouche in (_rouche_stable, _rouche_unstable):
+        for n in range(1, max_degree + 1):
+            cert = rouche(kernel, n, roots_at(n))
+            record(cert, n=n)
+            if cert.fired:
+                return finish(cert)
+    n = max(200, max_degree)
+    heuristic = _marginal_stable(kernel, n, grid_points, lambda: axis, lambda: roots_at(n))
     record(heuristic)
 
     traj = solve(kernel, steps, 1.0, thresholds)

@@ -102,30 +102,35 @@ def partial_sum_eval(kernel: KernelSpec, n: int, z: complex) -> complex:
 
 
 def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Guarded Newton steps in extended precision; a step never grows |p(z)|."""
+    """Guarded Newton steps in extended precision; a step never grows |p(z)|.
+
+    All roots step together: a root leaves the active set at its first
+    rejected step (p(z) = 0, p'(z) = 0, a step or p'(z) beyond float range,
+    or |p| not shrinking), and each active root sees the same elementwise
+    operations as a root polished alone, so the results do not depend on the
+    other roots.
+    """
     work = np.clongdouble
     cs = coeffs.astype(work)
     deriv = np.polyder(cs)
-    out = roots.copy()
-    for i, z0 in enumerate(roots):
-        z = work(z0)
-        fz = np.polyval(cs, z)
+    z = roots.astype(work)
+    fz = np.polyval(cs, z)
+    active = np.flatnonzero(fz != 0)
+    with np.errstate(all="ignore"):
         for _ in range(8):
-            if fz == 0:
+            if active.size == 0:
                 break
-            dz = np.polyval(deriv, z)
-            if dz == 0 or not np.isfinite(complex(dz)):
-                break
-            step = fz / dz
-            if not np.isfinite(complex(step)):
-                break
-            z_new = z - step
+            za, fa = z[active], fz[active]
+            dz = np.polyval(deriv, za)
+            step = fa / dz
+            z_new = za - step
             f_new = np.polyval(cs, z_new)
-            if abs(f_new) >= abs(fz):
-                break
-            z, fz = z_new, f_new
-        out[i] = complex(z)
-    return out
+            ok = (dz != 0) & np.isfinite(dz.astype(complex)) & np.isfinite(step.astype(complex))
+            ok &= ~(np.abs(f_new) >= np.abs(fa))
+            active = active[ok]
+            z[active], fz[active] = z_new[ok], f_new[ok]
+            active = active[fz[active] != 0]
+    return z.astype(complex)
 
 
 def pn_roots(kernel: KernelSpec, n: int) -> RootSet:

@@ -1,11 +1,14 @@
+import importlib
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
-
-import importlib
+from hypothesis import given, strategies as st
 
 certify_mod = importlib.import_module("volterra_stability.certify")
+cli_mod = importlib.import_module("volterra_stability.cli")
 from volterra_stability import (
     ASYMPTOTICALLY_STABLE,
     HEURISTIC,
@@ -18,6 +21,8 @@ from volterra_stability import (
     TailModel,
     certify,
     classify,
+    power_series_value,
+    radius_of_convergence,
     report_to_dict,
     solve,
     term,
@@ -113,8 +118,7 @@ def test_real_axis_geometric_supercritical():
     cert = check_real_axis_root(k)
     assert cert.verdict == UNSTABLE
     lo, hi = cert.witness["root_bracket"]
-    # oracle: b(t) = 1 - (3t/4)/(1 - t/2) vanishes at t = 4/5... solve: 1 - t/2 = 3t/4 -> t = 4/5? no:
-    # 1 - (3t/4)/(1-t/2) = 0  =>  1 - t/2 = 3t/4  =>  t = 4/5 * (1/ (1 + ... )) compute directly:
+    # oracle: a(t) = (3t/4)/(1 - t/2), and b(t) = 1 - a(t) = 0  <=>  1 - t/2 = 3t/4  <=>  t = 4/5
     t_root = 4.0 / 5.0
     assert abs(1.0 - (3 * t_root / 4) / (1 - t_root / 2)) < 1e-12
     assert lo <= t_root <= hi
@@ -135,6 +139,103 @@ def test_real_axis_negative_side():
 def test_real_axis_validates_grid():
     with pytest.raises(ValueError):
         check_real_axis_root(renewal_kernel(), grid_points=1)
+
+
+def _full_scan(kernel, grid_points=4096, precision=1e-10):
+    """Reference real-axis scan: a certified enclosure at every grid point."""
+    span = min(1.0, radius_of_convergence(kernel))
+    grid = np.linspace(0.0, span, grid_points // 2 + 2)[1:-1]
+    for sign in (1.0, -1.0):
+        anchor = 0.0
+        for t in sign * grid:
+            enc = power_series_value(kernel, float(t), precision)
+            if not enc.is_finite:
+                continue
+            b_lo, b_hi = 1.0 - enc.hi, 1.0 - enc.lo
+            if b_hi < 0.0:
+                lo_t, hi_t = (anchor, float(t)) if sign > 0 else (float(t), anchor)
+                return UNSTABLE, {"root_bracket": [lo_t, hi_t], "b_hi": b_hi, "t": float(t)}
+            if b_lo > 0.0:
+                anchor = float(t)
+    return NOT_APPLICABLE, {"reason": "no certified sign change", "span": span}
+
+
+def _assert_scan_matches(kernel, grid_points=4096):
+    cert = check_real_axis_root(kernel, grid_points)
+    assert (cert.verdict, cert.witness) == _full_scan(kernel, grid_points), kernel
+
+
+def test_real_axis_filtered_scan_matches_full_scan(rng):
+    kernels = list(paper_kernels().values())
+    kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
+    for k in kernels:
+        _assert_scan_matches(k)
+    assert sum(check_real_axis_root(k).fired for k in kernels) >= 10
+
+
+def test_real_axis_prefilter_bounds_every_enclosure(rng):
+    # the scan skips a point only when its float bound U(t) <= 1; U must sit
+    # above the lower end of every finite enclosure of a(t)
+    kernels = list(paper_kernels().values())
+    kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
+    for k in kernels:
+        grid = np.linspace(0.0, min(1.0, radius_of_convergence(k)), 130)[1:-1]
+        bound = certify_mod._value_upper_bound(k, grid)
+        for row, sign in enumerate((1.0, -1.0)):
+            for t, u in zip(sign * grid, bound[row]):
+                enc = power_series_value(k, float(t))
+                assert not enc.is_finite or not u < enc.lo, (k, t)
+
+
+def test_real_axis_anchor_skips_undecided_points():
+    # a(t) = 2t on the grid 1/4, 1/2, 3/4: the enclosure at 1/2 straddles 1,
+    # so the bracket reaches back to the last certified b > 0, at 1/4
+    k = KernelSpec((2.0,), TailModel.zero())
+    assert check_real_axis_root(k, 6).witness["root_bracket"] == [0.25, 0.75]
+    _assert_scan_matches(k, 6)
+
+
+@pytest.mark.parametrize(
+    "kernel, grid_points",
+    [
+        # a_k = (-1000)^k leaves float range before k = 512, so the float
+        # bound is inf or nan; a(-t) = 1000t / (1 - 1000t) crosses 1
+        (KernelSpec((), TailModel.parametric(1.0, -1e3)), 4096),
+        # Horner overflows to -inf at t = 1/2, so the bound is nan, while
+        # a(1/2) = 3e307 has a finite enclosure
+        (KernelSpec((1.7e308, -1.7e308, -1e308), TailModel.zero()), 2),
+    ],
+)
+def test_real_axis_scans_points_without_a_finite_bound(kernel, grid_points):
+    assert check_real_axis_root(kernel, grid_points).fired
+    _assert_scan_matches(kernel, grid_points)
+
+
+@st.composite
+def _scan_edge_kernel(draw):
+    """Kernels whose float bound on a(t) is loose, overflows or is not
+    finite: unit or wide tail ratios, bare prefixes, prefixes near 1e308."""
+    kind = draw(st.sampled_from(["unit_ratio", "wide_ratio", "prefix_only", "huge_prefix"]))
+    prefix = tuple(draw(st.lists(st.floats(-3.0, 3.0), max_size=4)))
+    c = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "unit_ratio":
+        alpha = 1.0 + draw(st.sampled_from([1e-7, 1e-3, 0.5]))
+        tail = TailModel.parametric(c, draw(st.sampled_from([1.0, -1.0])), alpha, draw(st.sampled_from([0.0, 1.0])))
+    elif kind == "wide_ratio":
+        q = draw(st.floats(1.01, 1e3)) * draw(st.sampled_from([1.0, -1.0]))
+        tail = TailModel.parametric(c, q, float(draw(st.integers(0, 2))))
+    elif kind == "prefix_only":
+        prefix = tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8)))
+        tail = TailModel.zero()
+    else:
+        prefix = tuple(1e308 * v for v in draw(st.lists(st.floats(-1.7, 1.7), min_size=1, max_size=3)))
+        tail = draw(st.sampled_from([TailModel.zero(), TailModel.parametric(c, 0.5)]))
+    return KernelSpec(prefix, tail)
+
+
+@given(kernel=_scan_edge_kernel(), grid_points=st.sampled_from([2, 64, 512]))
+def test_real_axis_filtered_scan_matches_full_scan_on_edges(kernel, grid_points):
+    _assert_scan_matches(kernel, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +416,42 @@ def test_certify_deterministic():
 
 def test_heuristic_never_overrides_unbounded(monkeypatch):
     fake = Certificate(STABLE, "MarginalStable", HEURISTIC, {"circle_zeros": []})
-    monkeypatch.setattr(certify_mod, "test_marginal_stable", lambda *a, **kw: fake)
+    monkeypatch.setattr(certify_mod, "_marginal_stable", lambda *a, **kw: fake)
     rep = certify_mod.certify(small_radius_unstable_kernel())
     assert rep.final_verdict == "inconclusive"
     assert rep.certificate is fake
     assert rep.empirical.kind == "unbounded"
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_certify_computes_each_analysis_once(monkeypatch):
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    scans = _counting(monkeypatch, certify_mod, "test_real_axis_root")
+    rep = certify_mod.certify(alternating_cubic_kernel(), steps=200)
+    assert rep.final_criterion == "MarginalStable"
+    degrees = Counter(n for _, n in roots)
+    assert set(degrees) == set(range(1, 33)) | {200}
+    assert set(degrees.values()) == {1}
+    assert len(scans) == 1
+
+
+def test_reproduce_paper_encloses_few_values(monkeypatch, capsys):
+    values = _counting(monkeypatch, certify_mod, "power_series_value")
+    assert cli_mod.main(["reproduce-paper"]) == 0
+    capsys.readouterr()
+    assert 0 < len(values) <= 100
 
 
 def test_report_json_interface():

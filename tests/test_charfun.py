@@ -16,13 +16,14 @@ from volterra_stability import (
     partial_sum_eval,
     pn_roots,
 )
-from volterra_stability.charfun import pn_coefficients, sn_coefficients
+from volterra_stability.charfun import _polish_roots, pn_coefficients, sn_coefficients
 
 from conftest import (
     alternating_cubic_kernel,
     geometric_half_kernel,
     geometric_null_kernel,
     grid_delta_max,
+    paper_kernels,
     random_root_set,
     renewal_kernel,
     rouche_stable_pair_kernel,
@@ -141,6 +142,54 @@ def test_residual_bound_small_on_typical_inputs():
     for k in (rouche_table_kernel(), geometric_half_kernel()):
         for n in (2, 6, 16):
             assert pn_roots(k, n).residual_bound <= 1e-10
+
+
+def _polish_one_at_a_time(coeffs, roots):
+    """Reference polish: the same guarded extended-precision Newton steps,
+    one root at a time."""
+    work = np.clongdouble
+    cs = coeffs.astype(work)
+    deriv = np.polyder(cs)
+    out = roots.copy()
+    for i, z0 in enumerate(roots):
+        z = work(z0)
+        fz = np.polyval(cs, z)
+        for _ in range(8):
+            if fz == 0:
+                break
+            dz = np.polyval(deriv, z)
+            if dz == 0 or not np.isfinite(complex(dz)):
+                break
+            step = fz / dz
+            if not np.isfinite(complex(step)):
+                break
+            z_new = z - step
+            f_new = np.polyval(cs, z_new)
+            if abs(f_new) >= abs(fz):
+                break
+            z, fz = z_new, f_new
+        out[i] = complex(z)
+    return out
+
+
+def _assert_polish_bit_identical(coeffs):
+    raw = np.roots(coeffs).astype(complex)
+    with np.errstate(all="ignore"):
+        want = _polish_one_at_a_time(coeffs.astype(complex), raw)
+    assert np.array_equal(_polish_roots(coeffs.astype(complex), raw), want, equal_nan=True)
+
+
+def test_vectorized_polish_bit_identical_on_fixtures():
+    for k in paper_kernels().values():
+        for n in list(range(1, 33)) + [200]:
+            _assert_polish_bit_identical(pn_coefficients(k, n))
+
+
+def test_vectorized_polish_bit_identical_on_random_polynomials(rng):
+    for _ in range(200):
+        d = int(rng.integers(1, 61))
+        tail = rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        _assert_polish_bit_identical(np.concatenate([[1.0], tail]))
 
 
 # ---------------------------------------------------------------------------

@@ -465,13 +465,18 @@ def _tail_ref(q, alpha, beta, weight, m):
 
 
 def _ref_value(kernel, weight, absolute, n=0, t=None):
-    """Sum_{i>n} w(a_i) (t^i), prefix included, at 50 digits."""
+    """Sum_{i>n} w(a_i) (t^i), prefix included, at 50 digits.
+
+    The prefix is summed exactly: a 50-digit running sum drops a tiny term
+    between cancelling ones, as in 1 + 5e-209 - 1.
+    """
     tm = kernel.tail
     with mpmath.workdps(50):
-        total = mpmath.mpf(0)
-        for i, v in enumerate(kernel.prefix[n:], start=n + 1):
-            v = mpmath.mpf(abs(v) if absolute else v)
-            total += v * i**weight * (mpmath.mpf(t) ** i if t is not None else 1)
+        exact = sum(
+            Fraction(abs(v) if absolute else v) * i**weight * (Fraction(t) ** i if t is not None else 1)
+            for i, v in enumerate(kernel.prefix[n:], start=n + 1)
+        )
+        total = mpmath.mpf(exact.numerator) / exact.denominator
         if not tm.is_zero:
             c, q = (abs(tm.c), abs(tm.q)) if absolute else (tm.c, tm.q)
             ratio = mpmath.mpf(q) * mpmath.mpf(t) if t is not None else q
