@@ -16,7 +16,6 @@ the inequality's direction.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,16 +29,14 @@ from .charfun import (
     pn_roots,
 )
 from .kernel import (
-    _EPS,
     KernelSpec,
-    TailModel,
+    _value_upper_bound,
     kernel_id,
     power_series_value,
     radius_of_convergence,
     series_sum,
     support_gcd,
     tail_abs_sum,
-    terms,
 )
 from .simulate import (
     BOUNDED_NON_DECAYING,
@@ -82,6 +79,9 @@ HEURISTIC = "heuristic"
 
 # EFP unit-sum acceptance needs the enclosure at least this tight
 _EFP_SUM_WIDTH = 1e-9
+# target widths of the enclosures of Sum |a_n| and of a(t) on the real axis
+_ABS_SUM_PRECISION = 1e-12
+_AXIS_PRECISION = 1e-10
 # p_n root moduli may poke outside the unit circle by at most this much
 # before the marginal heuristic gives up (zeros of s_n inside 1 - 1e-6)
 _MARGINAL_ROOT_SLACK = 1.0 / (1.0 - 1e-6)
@@ -108,9 +108,9 @@ def _na(criterion: str, rigor: str = RIGOROUS, **witness) -> Certificate:
 # individual criteria
 
 
-def test_absolute_sum(kernel: KernelSpec, precision: float = 1e-12) -> Certificate:
+def test_absolute_sum(kernel: KernelSpec) -> Certificate:
     """Sum |a_n| < 1 certified by enclosure implies asymptotic stability."""
-    enc = series_sum(kernel, "absolute", precision)
+    enc = series_sum(kernel, "absolute", _ABS_SUM_PRECISION)
     if enc.is_finite and enc.hi < 1.0:
         return Certificate(
             ASYMPTOTICALLY_STABLE,
@@ -156,41 +156,7 @@ def test_efp(kernel: KernelSpec) -> Certificate:
     )
 
 
-def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
-    """Float bounds U >= a(t) at t = +grid (row 0) and t = -grid (row 1).
-
-    a_1..a_K by Horner, K = max(N, 512), padded by (4K + 64) eps times the
-    Horner sum of |a_k| |t|^k, which covers the rounding of the computed a_k,
-    of Horner (gamma_2K) and of the final additions, plus (K + 1)(|c| + 2)
-    times the smallest subnormal for terms that underflow.  The rest is at most
-    E (|t|/g)^(K+1) with E = Sum_{k>K} |a_k| g^k certified at the grid's far
-    end g.  Entries are inf or nan where the coefficients or E leave float
-    range, so those points count as candidates.
-    """
-    k_max = max(kernel.prefix_len, 512)
-    a = terms(kernel, k_max)
-    g = float(grid[-1])
-    tm = kernel.tail
-    if tm.is_zero or tm.q == 0.0:
-        far = 0.0
-    else:
-        # the ratio rounded up bounds every term of the true tail from above
-        ratio = math.nextafter(abs(tm.q) * g, math.inf)
-        enc = tail_abs_sum(KernelSpec((), TailModel.parametric(abs(tm.c), ratio, tm.alpha, tm.beta)), k_max)
-        far = enc.hi if enc.is_finite else math.inf
-    x = np.stack([grid, -grid])
-    with np.errstate(all="ignore"):
-        val = np.zeros_like(x)
-        mag = np.zeros_like(grid)
-        for ak in a[:0:-1]:
-            val = (val + ak) * x
-            mag = (mag + abs(ak)) * grid
-        rest = far * (grid / g) ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * _EPS)
-        tiny = (k_max + 1) * (abs(tm.c) + 2.0) * math.ulp(0.0)
-        return val + rest + ((4 * k_max + 64) * _EPS * (mag + rest) + tiny)
-
-
-def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096, precision: float = 1e-10) -> Certificate:
+def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certificate:
     """Certified sign change of b(t) = 1 - a(t) on the real segment inside
     both the unit disk and the convergence disk proves a real characteristic
     root there, hence instability.
@@ -207,7 +173,7 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096, precision: 
     grid = np.linspace(0.0, span, grid_points // 2 + 2)[1:-1]
     bound = _value_upper_bound(kernel, grid)
     for points, upper in zip((grid, -grid), bound):
-        enclose = functools.cache(lambda i, points=points: power_series_value(kernel, float(points[i]), precision))
+        enclose = functools.cache(lambda i, points=points: power_series_value(kernel, float(points[i]), _AXIS_PRECISION))
         # b_hi < 0 needs a(t) >= enc.lo > 1, so only points with U > 1 can fire
         for j in np.flatnonzero(~(upper <= 1.0)):
             enc = enclose(j)

@@ -116,11 +116,7 @@ def _cmd_certify(args) -> int:
     kernel = load_kernel(args.kernel)
     report = certify(kernel, args.max_degree, args.steps, args.grid_points)
     print(_verdict_line(report))
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _emit(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -10,6 +10,7 @@ divergence, never a bare floating-point estimate.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -48,6 +49,17 @@ class KernelFormatError(ValueError):
     """Raised when a kernel description violates the JSON schema."""
 
 
+def _finite(name: str, v) -> float:
+    """v as a float; KernelFormatError naming the field when it is not finite."""
+    try:
+        f = float(v)
+    except OverflowError:
+        raise KernelFormatError(f"{name} is beyond float range") from None
+    if not math.isfinite(f):
+        raise KernelFormatError(f"{name} must be finite, got {v!r}")
+    return f
+
+
 @dataclass(frozen=True)
 class TailModel:
     """Tail law for indices past the prefix: zero, or c*q^n/(n^alpha*(n+1)^beta)."""
@@ -64,16 +76,15 @@ class TailModel:
 
     @staticmethod
     def parametric(c: float, q: float, alpha: float = 0.0, beta: float = 0.0) -> "TailModel":
-        for name, v in (("c", c), ("q", q), ("alpha", alpha), ("beta", beta)):
-            if not math.isfinite(v):
-                raise KernelFormatError(f"tail.{name} must be finite, got {v!r}")
+        fields = (("c", c), ("q", q), ("alpha", alpha), ("beta", beta))
+        c, q, alpha, beta = (_finite(f"tail.{name}", v) for name, v in fields)
         if alpha < 0:
             raise KernelFormatError(f"tail.alpha must be >= 0, got {alpha!r}")
         if beta < 0:
             raise KernelFormatError(f"tail.beta must be >= 0, got {beta!r}")
         if c == 0.0:
             return TailModel.zero()
-        return TailModel("parametric", float(c), float(q), float(alpha), float(beta))
+        return TailModel("parametric", c, q, alpha, beta)
 
     @property
     def is_zero(self) -> bool:
@@ -88,10 +99,7 @@ class KernelSpec:
     tail: TailModel
 
     def __post_init__(self):
-        for i, v in enumerate(self.prefix):
-            if not math.isfinite(v):
-                raise KernelFormatError(f"prefix[{i}] must be finite, got {v!r}")
-        object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
+        object.__setattr__(self, "prefix", tuple(_finite(f"prefix[{i}]", v) for i, v in enumerate(self.prefix)))
 
     @property
     def prefix_len(self) -> int:
@@ -265,20 +273,11 @@ def _tail_enclosure(
 def _stop_index(log_rem, first: int, log_target: float, last: int) -> int | None:
     """Smallest m in [first, last] with log_rem(m) <= log_target, else None.
 
-    log_rem is non-increasing: doubling brackets m, bisection pins it.
+    log_rem is non-increasing, so the test is False and then True over the range.
     """
-    lo, hi = first - 1, first
-    while log_rem(hi) > log_target:
-        if hi >= last:
-            return None
-        lo, hi = hi, min(last, 2 * hi - first + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_rem(mid) <= log_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    ms = range(first, last + 1)
+    i = bisect.bisect_left(ms, True, key=lambda m: log_rem(m) <= log_target)
+    return ms[i] if i < len(ms) else None
 
 
 def _bracketed(
@@ -338,12 +337,13 @@ def _prefix_sum(parts, exact: Fraction | None = None) -> tuple[float, float] | N
 
     None when a part or the sum leaves float range.  The bound is 0 when the
     fsum equals ``exact``, else 4*eps*Sum|part|, which covers the rounding of
-    each part and of the fsum.
+    each part and of the fsum, plus the smallest subnormal, so that parts that
+    underflowed to 0 are never taken for an exact sum.
     """
     try:
         parts = list(parts)
         total = math.fsum(parts)
-        dirt = 4.0 * _EPS * sum(map(abs, parts))
+        dirt = 4.0 * _EPS * sum(map(abs, parts)) + math.ulp(0.0)
     except (OverflowError, ValueError):
         return None
     if exact is not None and math.isfinite(total) and Fraction(total) == exact:
@@ -351,8 +351,10 @@ def _prefix_sum(parts, exact: Fraction | None = None) -> tuple[float, float] | N
     return total, dirt
 
 
-def _add(prefix: tuple[float, float] | None, tail: SumEnclosure) -> SumEnclosure:
-    """Prefix sum plus tail enclosure, padded unless both are exact and one is 0.
+def _add(prefix: tuple[float, float] | None, tail: SumEnclosure, slack: float = 0.0) -> SumEnclosure:
+    """Prefix sum plus tail enclosure, padded by the prefix's error bound plus
+    ``slack``, a bound on the tail's own rounding; unpadded only when both
+    bounds are 0 and the prefix or the tail is 0.
 
     A divergent tail stays divergent.
     """
@@ -361,6 +363,7 @@ def _add(prefix: tuple[float, float] | None, tail: SumEnclosure) -> SumEnclosure
     if prefix is None or not tail.is_finite:
         return SumEnclosure.unknown()
     total, dirt = prefix
+    dirt += slack
     lo, hi = total + tail.lo, total + tail.hi
     if dirt == 0.0 and (total == 0.0 or tail.lo == tail.hi == 0.0):
         return SumEnclosure.finite(lo, hi)
@@ -383,8 +386,6 @@ def series_sum(kernel: KernelSpec, mode: str = "plain", precision: float = 1e-12
     parts = [v * (i + 1) ** weight for i, v in enumerate(vals)]
     pref = _prefix_sum(parts, sum(Fraction(v) * (i + 1) ** weight for i, v in enumerate(vals)))
     t = kernel.tail
-    if t.is_zero:
-        return _add(pref, _ZERO)
     return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, len(vals) + 1, weight, absolute, precision))
 
 
@@ -397,8 +398,6 @@ def tail_abs_sum(kernel: KernelSpec, n: int, precision: float = 1e-12) -> SumEnc
     parts = [abs(v) for v in kernel.prefix[n:]]
     pref = _prefix_sum(parts, sum(map(Fraction, parts)))
     t = kernel.tail
-    if t.is_zero:
-        return _add(pref, _ZERO)
     start = max(n, len(kernel.prefix)) + 1
     return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, 0, True, precision))
 
@@ -416,20 +415,43 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
         return SumEnclosure.unknown()
     pref = _prefix_sum(v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
     tm = kernel.tail
-    if tm.is_zero:
-        return _add(pref, _ZERO)
-    start = len(kernel.prefix) + 1
     ratio = tm.q * t
     # fl(q*t) is within eps*|q*t| of q*t, which moves term n by at most
     # n*eps*|c|*bar^n; summed over n >= 1 that is eps*|c|*bar/(1-bar)^2
     bar = abs(ratio) * (1.0 + _EPS)
     if bar >= 1.0:
         return SumEnclosure.unknown()
-    enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, start, 0, False, precision)
-    if pref is None or not enc.is_finite:
-        return SumEnclosure.unknown()
-    total, dirt = pref
-    return _pad(total + enc.lo, total + enc.hi, dirt + _EPS * abs(tm.c) * bar / (1.0 - bar) ** 2)
+    enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, False, precision)
+    return _add(pref, enc, _EPS * abs(tm.c) * bar / (1.0 - bar) ** 2)
+
+
+def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
+    """Float bounds U >= a(t) at t = +grid (row 0) and t = -grid (row 1).
+
+    a_1..a_K by Horner, K = max(N, 512), padded by (4K + 64) eps times the
+    Horner sum of |a_k| |t|^k, which covers the rounding of the computed a_k,
+    of Horner (gamma_2K) and of the final additions, plus (K + 1)(|c| + 2)
+    times the smallest subnormal for terms that underflow.  The rest is at most
+    E (|t|/g)^(K+1) with E = Sum_{k>K} |a_k| g^k certified at the grid's far
+    end g.  Entries are inf or nan where the coefficients or E leave float
+    range, so those points count as candidates.
+    """
+    k_max = max(kernel.prefix_len, 512)
+    coef = terms(kernel, k_max)[::-1]
+    g = float(grid[-1])
+    tm = kernel.tail
+    far = 0.0
+    if tm.q != 0.0:
+        # the ratio rounded up bounds every term of the true tail from above
+        ratio = math.nextafter(abs(tm.q) * g, math.inf)
+        enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, k_max + 1, 0, True, 1e-12)
+        far = enc.hi if enc.is_finite else math.inf
+    with np.errstate(all="ignore"):
+        val = np.polyval(coef, np.stack([grid, -grid]))
+        mag = np.polyval(np.abs(coef), grid)
+        rest = far * (grid / g) ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * _EPS)
+        tiny = (k_max + 1) * (abs(tm.c) + 2.0) * math.ulp(0.0)
+        return val + rest + ((4 * k_max + 64) * _EPS * (mag + rest) + tiny)
 
 
 def radius_of_convergence(kernel: KernelSpec) -> float:
@@ -477,9 +499,6 @@ def kernel_from_dict(data: dict) -> KernelSpec:
     prefix = data["prefix"]
     if not isinstance(prefix, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in prefix):
         raise KernelFormatError("prefix must be an array of numbers")
-    for i, v in enumerate(prefix):
-        if not math.isfinite(v):
-            raise KernelFormatError(f"prefix[{i}] must be finite, got {v!r}")
     tail = data["tail"]
     if not isinstance(tail, dict) or "kind" not in tail:
         raise KernelFormatError("tail must be an object with a 'kind' field")
@@ -491,12 +510,12 @@ def kernel_from_dict(data: dict) -> KernelSpec:
             if f not in tail:
                 raise KernelFormatError(f"missing field: tail.{f}")
             v = tail[f]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise KernelFormatError(f"tail.{f} must be a finite number, got {v!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise KernelFormatError(f"tail.{f} must be a number, got {v!r}")
         tm = TailModel.parametric(tail["c"], tail["q"], tail["alpha"], tail["beta"])
     else:
         raise KernelFormatError(f"tail.kind must be 'zero' or 'parametric', got {kind!r}")
-    return KernelSpec(tuple(float(v) for v in prefix), tm)
+    return KernelSpec(tuple(prefix), tm)
 
 
 def kernel_to_dict(kernel: KernelSpec) -> dict:
@@ -511,7 +530,7 @@ def kernel_to_dict(kernel: KernelSpec) -> dict:
 def loads_kernel(text: str) -> KernelSpec:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal past the digit limit
         raise KernelFormatError(f"invalid JSON: {e}") from e
     return kernel_from_dict(data)
 

@@ -88,6 +88,21 @@ def test_malformed_kernel_exit_two(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"prefix": [%d], "tail": {"kind": "zero"}}' % 10**400, "prefix[0]"),
+        ('{"prefix": [], "tail": {"kind": "parametric", "c": %d, "q": 0.5, "alpha": 0, "beta": 0}}' % 10**400, "tail.c"),
+    ],
+    ids=["prefix", "tail"],
+)
+def test_number_beyond_float_range_exit_two(tmp_path, capsys, text, field):
+    bad = tmp_path / "huge.json"
+    bad.write_text(text)
+    assert main(["certify", "--kernel", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["roots", "--kernel", str(tmp_path / "nope.json"), "--n", "2"]) == 2
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -28,11 +29,15 @@ from volterra_stability import (
 from conftest import (
     geometric_half_kernel,
     geometric_null_kernel,
+    paper_kernels,
+    random_bounded_kernel,
     renewal_kernel,
     rouche_stable_pair_kernel,
     rouche_table_kernel,
     small_radius_unstable_kernel,
 )
+
+kernel_mod = importlib.import_module("volterra_stability.kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +218,35 @@ def test_bracketing_geometric_contains_closed_form(rng):
             assert mpmath.mpf(enc.lo) <= true <= mpmath.mpf(enc.hi)
 
 
+def _linear_stop(log_rem, first, log_target, last):
+    return next((m for m in range(first, last + 1) if log_rem(m) <= log_target), None)
+
+
+_STOP_FUNCTIONS = {
+    "finite": lambda m: 5.0 - 1.5 * math.log(m),
+    "plateaus": lambda m: 40.0 - 7.0 * (m // 9),
+    # +inf before the first index where the alternating remainder is claimed
+    "inf_prefix": lambda m: math.inf if m < 37 else -0.25 * m,
+    "never": lambda m: 3.0 if m < 20 else 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STOP_FUNCTIONS))
+def test_stop_index_matches_linear_scan(name):
+    f = _STOP_FUNCTIONS[name]
+    for first, last in [(1, 1), (7, 7), (36, 36), (37, 37), (1, 2), (1, 500), (30, 4_000)]:
+        for log_target in (-math.inf, -20.0, -9.25, 0.0, 2.0, 3.0):
+            expect = _linear_stop(f, first, log_target, last)
+            assert kernel_mod._stop_index(f, first, log_target, last) == expect, (first, last, log_target)
+
+
+def test_stop_index_over_the_term_budget():
+    last = kernel_mod._TERM_BUDGET
+    assert kernel_mod._stop_index(lambda m: -float(m), 1, -5_000_000.5, last) == 5_000_001
+    assert kernel_mod._stop_index(lambda m: -float(m), 1, -float(last), last) == last
+    assert kernel_mod._stop_index(lambda m: -float(m), 1, -float(last) - 0.5, last) is None
+
+
 def test_telescoping_exact_width_zero():
     # Sum_{i>n} |c|/(i(i+1)) = |c|/(n+1): a point exactly when the float quotient is exact
     for c in (1.0, -2.5, 0.3):
@@ -302,6 +336,50 @@ def test_power_series_outside_radius_unknown():
     assert power_series_value(small_radius_unstable_kernel(2.0), 0.75).status == "unknown"
 
 
+def _value_upper_bound_ref(kernel, grid):
+    """The real-axis float bound as first written: two Horner loops, and the
+    far-end tail through tail_abs_sum of a prefix-free kernel."""
+    k_max = max(kernel.prefix_len, 512)
+    a = terms(kernel, k_max)
+    g = float(grid[-1])
+    tm = kernel.tail
+    if tm.is_zero or tm.q == 0.0:
+        far = 0.0
+    else:
+        ratio = math.nextafter(abs(tm.q) * g, math.inf)
+        enc = tail_abs_sum(KernelSpec((), TailModel.parametric(abs(tm.c), ratio, tm.alpha, tm.beta)), k_max)
+        far = enc.hi if enc.is_finite else math.inf
+    x = np.stack([grid, -grid])
+    eps = 2.0 ** -52
+    with np.errstate(all="ignore"):
+        val = np.zeros_like(x)
+        mag = np.zeros_like(grid)
+        for ak in a[:0:-1]:
+            val = (val + ak) * x
+            mag = (mag + abs(ak)) * grid
+        rest = far * (grid / g) ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * eps)
+        tiny = (k_max + 1) * (abs(tm.c) + 2.0) * math.ulp(0.0)
+        return val + rest + ((4 * k_max + 64) * eps * (mag + rest) + tiny)
+
+
+def test_value_upper_bound_matches_horner_reference(rng):
+    kernels = list(paper_kernels().values())
+    kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
+    kernels += [
+        KernelSpec((), TailModel.parametric(1.0, -1e3)),  # coefficients leave float range
+        KernelSpec((1.7e308, -1.7e308, -1e308), TailModel.zero()),  # Horner overflows
+        KernelSpec((), TailModel.parametric(2.0, 0.0)),  # q = 0: no far-end tail
+        KernelSpec((0.5, -0.25), TailModel.zero()),
+        KernelSpec(tuple(np.linspace(-1.0, 1.0, 700)), TailModel.parametric(0.3, -0.9, 1.0)),  # N > 512
+        KernelSpec((), TailModel.parametric(1.0, 1.0, 1.0000001)),  # far-end tail unknown
+    ]
+    for k in kernels:
+        for points in (2, 130, 4096):
+            grid = np.linspace(0.0, min(1.0, radius_of_convergence(k)), points // 2 + 2)[1:-1]
+            got = kernel_mod._value_upper_bound(k, grid)
+            assert np.array_equal(got, _value_upper_bound_ref(k, grid), equal_nan=True), (k, points)
+
+
 # ---------------------------------------------------------------------------
 # radius / support
 
@@ -369,6 +447,25 @@ def test_parse_rejects_bad_fields(payload, needle):
 def test_parse_rejects_nonfinite_json_text():
     with pytest.raises(KernelFormatError):
         loads_kernel('{"prefix": [Infinity], "tail": {"kind": "zero"}}')
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: KernelSpec((0.5, 10**400), TailModel.zero()), "prefix[1]"),
+        (lambda: TailModel.parametric(10**400, 0.5), "tail.c"),
+        (lambda: TailModel.parametric(1.0, 0.5, -(10**400)), "tail.alpha"),
+        (lambda: loads_kernel('{"prefix": [%s], "tail": {"kind": "zero"}}' % (10**400)), "prefix[0]"),
+        (lambda: loads_kernel('{"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": %s, "alpha": 0, "beta": 0}}' % (10**400)), "tail.q"),
+        # past Python's integer-literal digit limit json.loads raises ValueError
+        (lambda: loads_kernel('{"prefix": [%s], "tail": {"kind": "zero"}}' % ("1" * 5000)), "invalid JSON"),
+    ],
+    ids=["spec_prefix", "tail_c", "tail_alpha", "json_prefix", "json_tail_q", "json_digit_limit"],
+)
+def test_numbers_beyond_float_range_rejected(build, field):
+    with pytest.raises(KernelFormatError) as err:
+        build()
+    assert field in str(err.value)
 
 
 def test_kernel_id_distinguishes():
@@ -572,3 +669,23 @@ def test_power_series_value_covers_rounded_ratio():
     with mpmath.workdps(50):
         r = mpmath.mpf(q) * mpmath.mpf(t)
         assert _holds(enc, r / (1 - r))
+
+
+@pytest.mark.parametrize(
+    "kernel, t",
+    [
+        # fl(q*t) underflows to 0, while a(t) = q t / (1 - q t) is about 1e-330
+        (KernelSpec((), TailModel.parametric(1.0, 1e-300)), 1e-30),
+        # the prefix part a_1 t underflows to 0, while a(t) is about 1e-400
+        (KernelSpec((1e-200,), TailModel.zero()), 1e-200),
+    ],
+)
+def test_power_series_value_covers_underflow(kernel, t):
+    enc = power_series_value(kernel, t)
+    with mpmath.workdps(50):
+        if kernel.tail.is_zero:
+            value = mpmath.mpf(kernel.prefix[0]) * mpmath.mpf(t)
+        else:
+            r = mpmath.mpf(kernel.tail.q) * mpmath.mpf(t)
+            value = mpmath.mpf(kernel.tail.c) * r / (1 - r)
+        assert value > 0 and _holds(enc, value)
