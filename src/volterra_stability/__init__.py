@@ -8,68 +8,11 @@ trajectory.  See ``certify.certify`` for the pipeline and the ``volstab``
 command line for file-based runs.
 """
 
-from .kernel import (
-    KernelFormatError,
-    KernelSpec,
-    SumEnclosure,
-    TailModel,
-    dumps_kernel,
-    kernel_from_dict,
-    kernel_id,
-    kernel_to_dict,
-    load_kernel,
-    loads_kernel,
-    power_series_value,
-    radius_of_convergence,
-    series_sum,
-    support_gcd,
-    tail_abs_sum,
-    term,
-    terms,
-)
-from .simulate import (
-    BOUNDED_NON_DECAYING,
-    DECAYING,
-    INCONCLUSIVE,
-    UNBOUNDED,
-    EmpiricalVerdict,
-    Thresholds,
-    Trajectory,
-    classify,
-    solve,
-    solve_fast,
-    trajectory_to_csv,
-)
-from .charfun import (
-    DeltaMax,
-    DomainError,
-    EBound,
-    NonConvergence,
-    RootSet,
-    circle_min_modulus,
-    e_bounds,
-    maximize_delta,
-    partial_sum_eval,
-    pn_roots,
-)
-from .certify import (
-    ASYMPTOTICALLY_STABLE,
-    HEURISTIC,
-    NOT_APPLICABLE,
-    RIGOROUS,
-    STABLE,
-    UNSTABLE,
-    Certificate,
-    Report,
-    certify,
-    report_to_dict,
-    test_absolute_sum,
-    test_efp,
-    test_marginal_stable,
-    test_real_axis_root,
-    test_rouche_stable,
-    test_rouche_unstable,
-)
-from .fixtures import fixture_names, load_fixture
+# each submodule's __all__ is its share of the package's public names
+from .kernel import *
+from .simulate import *
+from .charfun import *
+from .certify import *
+from .fixtures import *
 
 __version__ = "0.1.0"

@@ -44,7 +44,6 @@ from .simulate import (
     INCONCLUSIVE,
     UNBOUNDED,
     EmpiricalVerdict,
-    Thresholds,
     Trajectory,
     classify,
     solve,
@@ -207,8 +206,6 @@ def _roots(kernel: KernelSpec, n: int) -> RootSet | NonConvergence:
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
     characteristic function to stay root-free on the closed unit disk."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _rouche_stable(kernel, n, _roots(kernel, n))
 
 
@@ -232,8 +229,6 @@ def _rouche_stable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence) 
 def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     """Truncation with r_n > 1 plus a small tail pushes a root inside the
     disk: cheap E-bounds first, the maximized delta profile as backup."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _rouche_unstable(kernel, n, _roots(kernel, n))
 
 
@@ -355,13 +350,7 @@ def _summarize(traj: Trajectory) -> dict:
     }
 
 
-def certify(
-    kernel: KernelSpec,
-    max_degree: int = 32,
-    steps: int = 10_000,
-    grid_points: int = 4096,
-    thresholds: Thresholds | None = None,
-) -> Report:
+def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_points: int = 4096) -> Report:
     """Run the criteria in fixed order, stop at the first rigorous hit, and
     fall back to trajectory classification when only heuristics (or nothing)
     apply.  A heuristic verdict contradicted by an Unbounded trajectory is
@@ -371,78 +360,48 @@ def certify(
     if steps < 100:
         raise ValueError("steps must be >= 100")
     attempts: list[dict] = []
-    kid = kernel_id(kernel)
+    # the real-axis certificate and each degree's roots (or their
+    # NonConvergence) once per call
+    axis = functools.cache(lambda: test_real_axis_root(kernel, grid_points))
+    roots_at = functools.cache(lambda n: _roots(kernel, n))
 
-    def record(cert: Certificate, **extra):
-        entry = {"criterion": cert.criterion, "verdict": cert.verdict}
-        entry.update(extra)
+    def rigorous():
+        yield test_absolute_sum(kernel), {}
+        yield test_efp(kernel), {}
+        yield axis(), {}
+        for rouche in (_rouche_stable, _rouche_unstable):
+            for n in range(1, max_degree + 1):
+                yield rouche(kernel, n, roots_at(n)), {"n": n}
+
+    def record(cert: Certificate, extra: dict) -> bool:
+        entry = {"criterion": cert.criterion, "verdict": cert.verdict, **extra}
         if cert.fired:
             entry["rigor"] = cert.rigor
             entry["witness"] = cert.witness
         attempts.append(entry)
+        return cert.fired
 
-    def finish(cert: Certificate) -> Report:
-        return Report(
-            kid, attempts, cert, None, None, cert.verdict, cert.criterion, cert.rigor, cert.witness
-        )
+    emp = summary = None
+    for cert, extra in rigorous():
+        if record(cert, extra):
+            break
+    else:
+        n = max(200, max_degree)
+        cert = _marginal_stable(kernel, n, grid_points, axis, lambda: roots_at(n))
+        record(cert, {})
+        traj = solve(kernel, steps)
+        emp, summary = classify(traj), _summarize(traj)
 
-    cert = test_absolute_sum(kernel)
-    record(cert)
-    if cert.fired:
-        return finish(cert)
-    cert = test_efp(kernel)
-    record(cert)
-    if cert.fired:
-        return finish(cert)
-    axis = test_real_axis_root(kernel, grid_points)
-    record(axis)
-    if axis.fired:
-        return finish(axis)
-    # each degree's roots (or their NonConvergence) once per call
-    roots_at = functools.cache(lambda n: _roots(kernel, n))
-    for rouche in (_rouche_stable, _rouche_unstable):
-        for n in range(1, max_degree + 1):
-            cert = rouche(kernel, n, roots_at(n))
-            record(cert, n=n)
-            if cert.fired:
-                return finish(cert)
-    n = max(200, max_degree)
-    heuristic = _marginal_stable(kernel, n, grid_points, lambda: axis, lambda: roots_at(n))
-    record(heuristic)
-
-    traj = solve(kernel, steps, 1.0, thresholds)
-    emp = classify(traj, thresholds)
-    summary = _summarize(traj)
-
-    if heuristic.fired:
-        if emp.kind == UNBOUNDED:
-            # heuristics never override an observed blow-up
-            return Report(
-                kid,
-                attempts,
-                heuristic,
-                emp,
-                summary,
-                "inconclusive",
-                "MarginalStable+Empirical",
-                HEURISTIC,
-                {"heuristic": heuristic.witness, "empirical_kind": emp.kind},
-            )
-        return Report(
-            kid, attempts, heuristic, emp, summary,
-            heuristic.verdict, heuristic.criterion, heuristic.rigor, heuristic.witness,
-        )
-    return Report(
-        kid,
-        attempts,
-        None,
-        emp,
-        summary,
-        _EMPIRICAL_VERDICT_NAMES[emp.kind],
-        "Empirical",
-        "empirical",
-        {"witness_index": emp.witness_index, "witness_value": emp.witness_value},
-    )
+    if not cert.fired:
+        witness = {"witness_index": emp.witness_index, "witness_value": emp.witness_value}
+        final = (_EMPIRICAL_VERDICT_NAMES[emp.kind], "Empirical", "empirical", witness)
+    elif emp is not None and emp.kind == UNBOUNDED:
+        # heuristics never override an observed blow-up
+        witness = {"heuristic": cert.witness, "empirical_kind": emp.kind}
+        final = ("inconclusive", "MarginalStable+Empirical", HEURISTIC, witness)
+    else:
+        final = (cert.verdict, cert.criterion, cert.rigor, cert.witness)
+    return Report(kernel_id(kernel), attempts, cert if cert.fired else None, emp, summary, *final)
 
 
 def report_to_dict(report: Report) -> dict:

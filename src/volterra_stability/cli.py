@@ -48,11 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--fast", action="store_true", help="use the blocked-convolution path")
     sim.add_argument("--out", default=None)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
+    sim.set_defaults(run=_cmd_simulate)
 
     ro = sub.add_parser("roots", help="roots of the degree-n reversed polynomial")
     ro.add_argument("--kernel", required=True)
     ro.add_argument("--n", type=int, required=True)
     ro.add_argument("--out", default=None)
+    ro.set_defaults(run=_cmd_roots)
 
     ce = sub.add_parser("certify", help="run the certificate pipeline")
     ce.add_argument("--kernel", required=True)
@@ -60,11 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--steps", type=int, default=10_000)
     ce.add_argument("--grid-points", type=int, default=4096)
     ce.add_argument("--out", default=None)
+    ce.set_defaults(run=_cmd_certify)
 
     rp = sub.add_parser("reproduce-paper", help="rerun the built-in reference kernels")
     rp.add_argument("--steps", type=int, default=10_000)
     rp.add_argument("--grid-points", type=int, default=4096)
     rp.add_argument("--out", default=None, help="write the full-precision JSON here")
+    rp.set_defaults(run=_cmd_reproduce)
     return p
 
 
@@ -184,17 +188,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "roots":
-            return _cmd_roots(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "reproduce-paper":
-            return _cmd_reproduce(args)
+        return args.run(args)
     except KernelFormatError as e:
         print(f"kernel error: {e}", file=sys.stderr)
         return 2
@@ -204,8 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergence as e:
         print(f"root finding failed: {e}", file=sys.stderr)
         return 3
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def term(kernel: KernelSpec, n: int) -> float:
     t = kernel.tail
     if t.is_zero:
         return 0.0
-    return t.c * t.q ** n / (n ** t.alpha * (n + 1) ** t.beta)
+    return float(_tail_terms(t.c, t.q, t.alpha, t.beta, np.array([float(n)]))[0])
 
 
 def terms(kernel: KernelSpec, count: int) -> np.ndarray:
@@ -171,15 +171,20 @@ def terms(kernel: KernelSpec, count: int) -> np.ndarray:
         out[1 : npre + 1] = kernel.prefix[:npre]
     t = kernel.tail
     if not t.is_zero and count > len(kernel.prefix):
-        n = np.arange(len(kernel.prefix) + 1, count + 1, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            vals = t.c * np.power(float(t.q), n)
-            if t.alpha:
-                vals /= np.power(n.astype(float), t.alpha)
-            if t.beta:
-                vals /= np.power(n.astype(float) + 1.0, t.beta)
-        out[n] = vals
+        out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))
     return out
+
+
+def _tail_terms(c: float, q: float, alpha: float, beta: float, i: np.ndarray) -> np.ndarray:
+    """c q^i / (i^alpha (i+1)^beta) at the float indices i: the one formula
+    for tail terms, so that term, terms and the bracketed sums agree bit for bit."""
+    with np.errstate(under="ignore", over="ignore"):
+        t = c * np.power(q, i)
+        if alpha:
+            t /= np.power(i, alpha)
+        if beta:
+            t /= np.power(i + 1.0, beta)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +311,12 @@ def _bracketed(
     abs_accum = 0.0
     for i0 in range(start, m + 1, _CHUNK):
         i = np.arange(i0, min(m, i0 + _CHUNK - 1) + 1, dtype=float)
-        with np.errstate(under="ignore", over="ignore"):
-            t = c * np.power(q, i)
-            if alpha:
-                t /= np.power(i, alpha)
-            if beta:
-                t /= np.power(i + 1.0, beta)
-            if weight:
+        # release the previous chunk's terms first: while they are held, glibc
+        # trims and refaults the heap on every chunk, about 25% slower
+        t = None
+        t = _tail_terms(c, q, alpha, beta, i)
+        if weight:
+            with np.errstate(over="ignore"):
                 t *= i
         partial += float(np.sum(t))
         abs_accum += float(np.sum(np.abs(t)))
@@ -353,7 +357,7 @@ def _prefix_sum(parts, exact: Fraction | None = None) -> tuple[float, float] | N
 
 def _add(prefix: tuple[float, float] | None, tail: SumEnclosure, slack: float = 0.0) -> SumEnclosure:
     """Prefix sum plus tail enclosure, padded by the prefix's error bound plus
-    ``slack``, a bound on the tail's own rounding; unpadded only when both
+    ``slack``, a bound on any further rounding; unpadded only when both
     bounds are 0 and the prefix or the tail is 0.
 
     A divergent tail stays divergent.
@@ -414,15 +418,19 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
     if abs(t) >= radius_of_convergence(kernel):
         return SumEnclosure.unknown()
     pref = _prefix_sum(v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
+    # a t^k that underflows is off by up to ulp(0), so a_k t^k by |a_k| ulp(0);
+    # summed part by part, since Sum |a_k| alone can overflow
+    lost = sum(abs(v) * math.ulp(0.0) for v in kernel.prefix)
     tm = kernel.tail
     ratio = tm.q * t
-    # fl(q*t) is within eps*|q*t| of q*t, which moves term n by at most
-    # n*eps*|c|*bar^n; summed over n >= 1 that is eps*|c|*bar/(1-bar)^2
+    # fl(q*t) is within eps*|q*t| + ulp(0) of q*t (the ulp for underflow), which
+    # moves term n by at most n*|c|*(eps*bar + ulp(0))*bar^(n-1); summed over
+    # n >= 1 that is |c|*(eps*bar + ulp(0))/(1-bar)^2
     bar = abs(ratio) * (1.0 + _EPS)
     if bar >= 1.0:
         return SumEnclosure.unknown()
     enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, False, precision)
-    return _add(pref, enc, _EPS * abs(tm.c) * bar / (1.0 - bar) ** 2)
+    return _add(pref, enc, lost + abs(tm.c) * (_EPS * bar + math.ulp(0.0)) / (1.0 - bar) ** 2)
 
 
 def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:

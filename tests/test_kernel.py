@@ -14,8 +14,10 @@ from volterra_stability import (
     KernelSpec,
     TailModel,
     dumps_kernel,
+    fixture_names,
     kernel_from_dict,
     kernel_id,
+    load_fixture,
     loads_kernel,
     power_series_value,
     radius_of_convergence,
@@ -63,12 +65,21 @@ def test_term_rejects_nonpositive_index():
         term(renewal_kernel(), 0)
 
 
-def test_terms_vector_matches_scalar():
-    for k in (renewal_kernel(), rouche_table_kernel(), geometric_null_kernel()):
-        vec = terms(k, 40)
+def test_terms_vector_matches_scalar(rng):
+    # term and terms share one formula, so they agree bit for bit
+    kernels = [load_fixture(name) for name in fixture_names()]
+    kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
+    for k in kernels:
+        vec = terms(k, 400)
         assert vec[0] == 0.0
-        for n in range(1, 41):
-            assert vec[n] == pytest.approx(term(k, n), rel=1e-15)
+        for n in range(1, 401):
+            assert vec[n] == term(k, n)
+
+
+def test_term_overflows_like_terms():
+    # 2^2000 is beyond float range: both give inf, neither raises
+    k = KernelSpec((), TailModel.parametric(1.0, 2.0))
+    assert term(k, 2000) == terms(k, 2000)[2000] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +689,19 @@ def test_power_series_value_covers_rounded_ratio():
         (KernelSpec((), TailModel.parametric(1.0, 1e-300)), 1e-30),
         # the prefix part a_1 t underflows to 0, while a(t) is about 1e-400
         (KernelSpec((1e-200,), TailModel.zero()), 1e-200),
+        # t^2 underflows to 0, while a(t) = 1e300 t^2 is 1e-100
+        (KernelSpec((0.0, 1e300), TailModel.zero()), 1e-200),
+        # fl(q*t) underflows to 0, while a(t) is about c q t = 1e-30
+        (KernelSpec((), TailModel.parametric(1e300, 1e-300)), 1e-30),
     ],
 )
 def test_power_series_value_covers_underflow(kernel, t):
     enc = power_series_value(kernel, t)
     with mpmath.workdps(50):
-        if kernel.tail.is_zero:
-            value = mpmath.mpf(kernel.prefix[0]) * mpmath.mpf(t)
-        else:
-            r = mpmath.mpf(kernel.tail.q) * mpmath.mpf(t)
-            value = mpmath.mpf(kernel.tail.c) * r / (1 - r)
+        x = mpmath.mpf(t)
+        value = mpmath.fsum(mpmath.mpf(v) * x**k for k, v in enumerate(kernel.prefix, start=1))
+        if not kernel.tail.is_zero:
+            # geometric tail: Sum_{n>N} c r^n = c r^(N+1) / (1 - r)
+            r = mpmath.mpf(kernel.tail.q) * x
+            value += mpmath.mpf(kernel.tail.c) * r ** (len(kernel.prefix) + 1) / (1 - r)
         assert value > 0 and _holds(enc, value)
