@@ -195,28 +195,43 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     return _na("RealAxisRoot", reason="no certified sign change", span=span)
 
 
-def _roots(kernel: KernelSpec, n: int) -> RootSet | NonConvergence:
-    """pn_roots(kernel, n), or the NonConvergence it raised."""
-    try:
-        return pn_roots(kernel, n)
-    except NonConvergence as e:
-        return e
+class _Analysis:
+    """What the criteria of one ``certify`` call share, each computed once: the
+    roots of p_n per degree (or the NonConvergence raised) and the real-axis scan."""
+
+    def __init__(self, kernel: KernelSpec, grid_points: int = 4096):
+        self.kernel = kernel
+        self.grid_points = grid_points
+        self._roots: dict[int, RootSet | NonConvergence] = {}
+
+    def roots(self, n: int) -> RootSet | NonConvergence:
+        if n not in self._roots:
+            try:
+                self._roots[n] = pn_roots(self.kernel, n)
+            except NonConvergence as e:
+                self._roots[n] = e
+        return self._roots[n]
+
+    @functools.cached_property
+    def axis(self) -> Certificate:
+        return test_real_axis_root(self.kernel, self.grid_points)
 
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
     characteristic function to stay root-free on the closed unit disk."""
-    return _rouche_stable(kernel, n, _roots(kernel, n))
+    return _rouche_stable(_Analysis(kernel), n)
 
 
-def _rouche_stable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence) -> Certificate:
+def _rouche_stable(analysis: _Analysis, n: int) -> Certificate:
+    roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
         return _na("RoucheStable", reason=str(roots), n=n)
     r_up = roots.r_n + roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_up >= 1.0:
         return _na("RoucheStable", **witness)
-    tail = tail_abs_sum(kernel, n)
+    tail = tail_abs_sum(analysis.kernel, n)
     if not tail.is_finite:
         return _na("RoucheStable", tail_status=tail.status, **witness)
     threshold = (1.0 - r_up) ** n
@@ -229,17 +244,18 @@ def _rouche_stable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence) 
 def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     """Truncation with r_n > 1 plus a small tail pushes a root inside the
     disk: cheap E-bounds first, the maximized delta profile as backup."""
-    return _rouche_unstable(kernel, n, _roots(kernel, n))
+    return _rouche_unstable(_Analysis(kernel), n)
 
 
-def _rouche_unstable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence) -> Certificate:
+def _rouche_unstable(analysis: _Analysis, n: int) -> Certificate:
+    roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
         return _na("RoucheUnstable", reason=str(roots), n=n)
     r_down = roots.r_n - roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_down <= 1.0:
         return _na("RoucheUnstable", **witness)
-    tail = tail_abs_sum(kernel, n)
+    tail = tail_abs_sum(analysis.kernel, n)
     if not tail.is_finite:
         return _na("RoucheUnstable", tail_status=tail.status, **witness)
     witness.update(tail_hi=tail.hi)
@@ -255,14 +271,6 @@ def _rouche_unstable(kernel: KernelSpec, n: int, roots: RootSet | NonConvergence
     return _na("RoucheUnstable", **witness)
 
 
-def _circle_zero_candidates(kernel: KernelSpec, n: int, grid_points: int):
-    theta, _, vals = _circle_modulus(kernel, n, grid_points)
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
-    return theta, vals, idx
-
-
 def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 4096) -> Certificate:
     """Heuristic: finite first absolute moment, no certified root inside the
     disk, and isolated near-zeros of |s_n| on the circle growing linearly in
@@ -270,31 +278,30 @@ def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 40
     stability.  Never rigorous: zero order is not certified numerically."""
     if n < 16:
         raise ValueError("n must be >= 16")
-    return _marginal_stable(
-        kernel, n, grid_points, lambda: test_real_axis_root(kernel, grid_points), lambda: _roots(kernel, n)
-    )
+    return _marginal_stable(_Analysis(kernel, grid_points), n)
 
 
-def _marginal_stable(kernel: KernelSpec, n: int, grid_points: int, axis, roots) -> Certificate:
-    """test_marginal_stable with the real-axis certificate from ``axis()``
-    and the degree-n roots, or their NonConvergence, from ``roots()``."""
-    moment = series_sum(kernel, "first_moment_abs", 1e-6)
+def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
+    moment = series_sum(analysis.kernel, "first_moment_abs", 1e-6)
     if not moment.is_finite:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
-    if axis().fired:
+    if analysis.axis.fired:
         return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
-    found = roots()
+    found = analysis.roots(n)
     if isinstance(found, NonConvergence):
         return _na("MarginalStable", HEURISTIC, reason=str(found))
     if found.r_n > _MARGINAL_ROOT_SLACK:
         return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
-    theta, vals, idx = _circle_zero_candidates(kernel, n, grid_points)
+    g = analysis.grid_points
+    theta, _, vals = _circle_modulus(analysis.kernel, n, g)
+    left = np.roll(vals, 1)
+    right = np.roll(vals, -1)
+    idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
     if idx.size == 0:
         return _na("MarginalStable", HEURISTIC, reason="no near-zero on the circle", circle_min=float(np.min(vals)))
     if idx.size > 1 and np.min(np.diff(np.sort(idx))) < 8:
         return _na("MarginalStable", HEURISTIC, reason="circle zeros not isolated on the grid")
     zeros = []
-    g = grid_points
     for i in idx:
         m0 = float(vals[i])
         m1 = 0.5 * (vals[(i - 1) % g] + vals[(i + 1) % g])
@@ -360,18 +367,15 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     if steps < 100:
         raise ValueError("steps must be >= 100")
     attempts: list[dict] = []
-    # the real-axis certificate and each degree's roots (or their
-    # NonConvergence) once per call
-    axis = functools.cache(lambda: test_real_axis_root(kernel, grid_points))
-    roots_at = functools.cache(lambda n: _roots(kernel, n))
+    analysis = _Analysis(kernel, grid_points)
 
     def rigorous():
         yield test_absolute_sum(kernel), {}
         yield test_efp(kernel), {}
-        yield axis(), {}
+        yield analysis.axis, {}
         for rouche in (_rouche_stable, _rouche_unstable):
             for n in range(1, max_degree + 1):
-                yield rouche(kernel, n, roots_at(n)), {"n": n}
+                yield rouche(analysis, n), {"n": n}
 
     def record(cert: Certificate, extra: dict) -> bool:
         entry = {"criterion": cert.criterion, "verdict": cert.verdict, **extra}
@@ -386,8 +390,7 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
         if record(cert, extra):
             break
     else:
-        n = max(200, max_degree)
-        cert = _marginal_stable(kernel, n, grid_points, axis, lambda: roots_at(n))
+        cert = _marginal_stable(analysis, max(200, max_degree))
         record(cert, {})
         traj = solve(kernel, steps)
         emp, summary = classify(traj), _summarize(traj)

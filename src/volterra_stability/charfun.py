@@ -160,13 +160,6 @@ def pn_roots(kernel: KernelSpec, n: int) -> RootSet:
     return RootSet(n, tuple(complex(z) for z in roots), residual, r_n)
 
 
-def _delta_profile(moduli: np.ndarray):
-    def delta(rho: float) -> float:
-        return float(np.prod(np.abs(1.0 - rho * moduli)))
-
-    return delta
-
-
 def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -205,7 +198,10 @@ def maximize_delta(roots: RootSet) -> DeltaMax:
     lo = 1.0 / roots.r_n
     hi = 1.0
     kinks = sorted({1.0 / m for m in moduli if m > 1.0 and lo < 1.0 / m < hi})
-    delta = _delta_profile(moduli)
+
+    def delta(rho: float) -> float:
+        return float(np.prod(np.abs(1.0 - rho * moduli)))
+
     best_rho, best_val = lo, delta(lo)
     for rho in kinks + [hi]:
         v = delta(rho)

@@ -194,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     except KernelFormatError as e:
         print(f"kernel error: {e}", file=sys.stderr)
         return 2
+    except ValueError as e:
+        print(f"argument error: {e}", file=sys.stderr)
+        return 2
     except FileNotFoundError as e:
         print(f"file error: {e}", file=sys.stderr)
         return 2

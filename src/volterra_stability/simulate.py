@@ -192,10 +192,6 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     return x, False, False
 
 
-def _block_size(steps: int) -> int:
-    return max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
-
-
 def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Blocked-convolution evaluation; same contract as ``solve``.
 
@@ -206,17 +202,16 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if _needs_rescale(kernel):
+        return solve(kernel, steps, x0, thresholds)
     th = thresholds or Thresholds()
     limit = 10.0 * th.unbounded_cutoff
-    if _needs_rescale(kernel):
-        values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
-        return Trajectory(values, kernel_id(kernel), "direct", x0, truncated, overflow)
 
     a = terms(kernel, steps)
     x = np.zeros(steps + 1)
     x[0] = x0
     contrib = np.zeros(steps + 1)
-    base = _block_size(steps)
+    base = max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
     # intra-block recursion as a unit-lower-triangular Toeplitz system
     # (I - L) x_block = rhs with L[j,k] = a_{j-k}; one matrix serves every block
     width = min(base, steps)

@@ -448,6 +448,77 @@ def test_certify_computes_each_analysis_once(monkeypatch):
     assert len(scans) == 1
 
 
+def _window(criterion, verdict, lo, hi):
+    return [(criterion, verdict, n) for n in range(lo, hi + 1)]
+
+
+# per fixture: (criterion, verdict, n) of each attempt, then the final
+# (verdict, criterion, rigor); no witness values, which move with LAPACK
+_NA = NOT_APPLICABLE
+_NO_AXIS = [("AbsoluteSum", _NA, None), ("EFP", _NA, None), ("RealAxisRoot", _NA, None)]
+_NO_WINDOW = _NO_AXIS + _window("RoucheStable", _NA, 1, 32) + _window("RoucheUnstable", _NA, 1, 32)
+_STABLE_AT_TWO = _NO_AXIS + _window("RoucheStable", _NA, 1, 1) + _window("RoucheStable", ASYMPTOTICALLY_STABLE, 2, 2)
+_DECISION_TRACES = {
+    "renewal": (
+        [("AbsoluteSum", _NA, None), ("EFP", ASYMPTOTICALLY_STABLE, None)],
+        (ASYMPTOTICALLY_STABLE, "EFP", RIGOROUS),
+    ),
+    "small_radius_unstable": (_NO_WINDOW + [("MarginalStable", _NA, None)], (UNSTABLE, "Empirical", "empirical")),
+    "geometric_null": (_NO_WINDOW + [("MarginalStable", _NA, None)], (ASYMPTOTICALLY_STABLE, "Empirical", "empirical")),
+    "rouche_stable_pair_plus": (_STABLE_AT_TWO, (ASYMPTOTICALLY_STABLE, "RoucheStable", RIGOROUS)),
+    "rouche_stable_pair_minus": (_STABLE_AT_TWO, (ASYMPTOTICALLY_STABLE, "RoucheStable", RIGOROUS)),
+    "rouche_table": (
+        _NO_AXIS + _window("RoucheStable", _NA, 1, 5) + _window("RoucheStable", ASYMPTOTICALLY_STABLE, 6, 6),
+        (ASYMPTOTICALLY_STABLE, "RoucheStable", RIGOROUS),
+    ),
+    "rouche_unstable_pair": (_NO_AXIS[:2] + [("RealAxisRoot", UNSTABLE, None)], (UNSTABLE, "RealAxisRoot", RIGOROUS)),
+    "alternating_cubic": (_NO_WINDOW + [("MarginalStable", STABLE, None)], (STABLE, "MarginalStable", HEURISTIC)),
+    "geometric_half": (_NO_WINDOW + [("MarginalStable", STABLE, None)], (STABLE, "MarginalStable", HEURISTIC)),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECISION_TRACES))
+def test_certify_decision_trace(name):
+    rep = certify(paper_kernels()[name], 6 if name == "rouche_table" else 32, steps=500, grid_points=512)
+    attempts, final = _DECISION_TRACES[name]
+    assert [(a["criterion"], a["verdict"], a.get("n")) for a in rep.attempts] == attempts
+    assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == final
+
+
+def test_shared_analysis_matches_fresh_calls(monkeypatch, rng):
+    # certify shares roots and the real-axis scan across criteria; each
+    # attempt must still equal the public criterion run with fresh state
+    marginal = []
+    inner = certify_mod._marginal_stable
+
+    def recording(*args):
+        marginal.append(inner(*args))
+        return marginal[-1]
+
+    monkeypatch.setattr(certify_mod, "_marginal_stable", recording)
+    kernels = list(paper_kernels().values()) + [random_bounded_kernel(rng, 0.1, 1.8) for _ in range(30)]
+    for k in kernels:
+        marginal.clear()
+        rep = certify_mod.certify(k, 8, steps=500, grid_points=512)
+        shared = list(marginal)
+        fresh = {
+            "AbsoluteSum": lambda n: check_absolute_sum(k),
+            "EFP": lambda n: check_efp(k),
+            "RealAxisRoot": lambda n: check_real_axis_root(k, 512),
+            "RoucheStable": lambda n: check_rouche_stable(k, n),
+            "RoucheUnstable": lambda n: check_rouche_unstable(k, n),
+            "MarginalStable": lambda n: check_marginal_stable(k, 200, 512),
+        }
+        for a in rep.attempts:
+            cert = fresh[a["criterion"]](a.get("n"))
+            assert (cert.criterion, cert.verdict) == (a["criterion"], a["verdict"]), k
+            if cert.fired:
+                assert a["witness"] == cert.witness, k
+        assert len(shared) == (rep.attempts[-1]["criterion"] == "MarginalStable")
+        if shared:
+            assert shared[0] == check_marginal_stable(k, 200, 512), k
+
+
 def test_reproduce_paper_encloses_few_values(monkeypatch, capsys):
     values = _counting(monkeypatch, certify_mod, "power_series_value")
     assert cli_mod.main(["reproduce-paper"]) == 0

@@ -6,7 +6,7 @@ from volterra_stability import dumps_kernel, pn_roots
 from volterra_stability.cli import main
 from volterra_stability.fixtures import fixture_names, fixture_text, load_fixture
 
-from conftest import geometric_null_kernel, renewal_kernel, rouche_unstable_pair_kernel
+from conftest import alternating_cubic_kernel, geometric_null_kernel, renewal_kernel, rouche_unstable_pair_kernel
 
 
 def _write_kernel(tmp_path, kernel, name="kernel.json"):
@@ -101,6 +101,28 @@ def test_number_beyond_float_range_exit_two(tmp_path, capsys, text, field):
     bad.write_text(text)
     assert main(["certify", "--kernel", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--kernel", "renewal", "--max-degree", "0"],
+        ["certify", "--kernel", "renewal", "--max-degree", "-3"],
+        ["certify", "--kernel", "renewal", "--steps", "50"],
+        ["roots", "--kernel", "renewal", "--n", "0"],
+        ["simulate", "--kernel", "renewal", "--steps", "0"],
+        ["reproduce-paper", "--steps", "50"],
+        # alternating_cubic gets past AbsoluteSum and EFP, so the grid reaches the scan
+        ["certify", "--kernel", "alternating_cubic", "--grid-points", "1"],
+    ],
+    ids=["max-degree-0", "max-degree-negative", "certify-steps", "roots-n", "simulate-steps", "reproduce-steps", "grid"],
+)
+def test_out_of_range_argument_exit_two(tmp_path, capsys, argv):
+    kernels = {"renewal": renewal_kernel(), "alternating_cubic": alternating_cubic_kernel()}
+    argv = [_write_kernel(tmp_path, kernels[a]) if a in kernels else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "must be >=" in err
 
 
 def test_missing_file_exit_two(tmp_path, capsys):
