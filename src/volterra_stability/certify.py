@@ -366,6 +366,8 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
         raise ValueError("max_degree must be >= 1")
     if steps < 100:
         raise ValueError("steps must be >= 100")
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
     attempts: list[dict] = []
     analysis = _Analysis(kernel, grid_points)
 

@@ -6,7 +6,9 @@ stability notions the certificate layer reports.
 
 Two evaluation strategies share one contract: ``solve`` is the direct
 quadratic recursion, ``solve_fast`` accumulates past-block contributions to
-future indices with FFT convolutions (divide-and-conquer blocking).  Kernels
+future indices with FFT convolutions (divide-and-conquer blocking) and solves
+each base block as one convolution with the first values of that canonical
+trajectory, the resolvent 1/(1 - a(z)); numpy is its only dependency.  Kernels
 whose tail ratio |q| exceeds 1 are internally rescaled by q**-n so the
 recursion runs on bounded coefficients; that keeps exactly-cancelling
 trajectories (for instance geometric kernels whose solution dies after two
@@ -19,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import solve_triangular, toeplitz
 
 from .kernel import KernelSpec, TailModel, kernel_id, terms
 
@@ -140,12 +140,11 @@ def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Threshold
     if _needs_rescale(kernel):
         values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
     else:
-        values, truncated, overflow = _run_plain(kernel, steps, x0, limit)
+        values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, limit)
     return Trajectory(values, kernel_id(kernel), "direct", x0, truncated, overflow)
 
 
-def _run_plain(kernel: KernelSpec, steps: int, x0: float, limit: float):
-    a = terms(kernel, steps)
+def _run_plain(a: np.ndarray, steps: int, x0: float, limit: float):
     a_rev = _reversed_coeffs(a)
     x = np.zeros(steps + 1)
     x[0] = x0
@@ -196,9 +195,12 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     """Blocked-convolution evaluation; same contract as ``solve``.
 
     Past-block contributions to future indices are accumulated with FFT
-    convolutions, the recursion inside a base block stays direct.  Kernels
-    needing the q^n rescale keep the direct path: their coefficient range
-    makes float FFTs meaningless.
+    convolutions.  Inside a base block the recursion is the lower-triangular
+    Toeplitz system (I - L) x = rhs, whose inverse is the Toeplitz matrix of
+    the resolvent r = 1/(1 - a(z)): r is the x_0 = 1 trajectory, computed
+    once by the direct recursion, and each block is one convolution with it.
+    Kernels needing the q^n rescale, or whose resolvent leaves float range
+    within one block, keep the direct path.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -208,30 +210,25 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     limit = 10.0 * th.unbounded_cutoff
 
     a = terms(kernel, steps)
+    base = max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
+    width = min(base, steps)
+    with np.errstate(over="ignore"):  # an overflowing resolvent only selects the direct path
+        r, _, r_overflow = _run_plain(a[:width], width - 1, 1.0, math.inf)
+    if r_overflow:
+        return solve(kernel, steps, x0, thresholds)
     x = np.zeros(steps + 1)
     x[0] = x0
     contrib = np.zeros(steps + 1)
-    base = max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
-    # intra-block recursion as a unit-lower-triangular Toeplitz system
-    # (I - L) x_block = rhs with L[j,k] = a_{j-k}; one matrix serves every block
-    width = min(base, steps)
-    col = np.zeros(width)
-    col[0] = 1.0
-    col[1:] = -a[1:width]
-    tri = toeplitz(col, np.zeros(width))
 
     def run_base(lo: int, hi: int):
         i0 = max(lo, 1)
         m = hi - i0
         if m <= 0:
             return
-        rhs = contrib[i0:hi].copy()
+        rhs = contrib[i0:hi]
         if lo == 0:
-            rhs += a[i0:hi] * x0
-        # coefficients and rhs are ours; a non-finite rhs is caught by the scan below
-        block = solve_triangular(
-            tri[:m, :m], rhs, lower=True, unit_diagonal=True, check_finite=False, overwrite_b=True
-        )
+            rhs = rhs + a[i0:hi] * x0
+        block = np.convolve(r[:m], rhs)[:m]
         bad = ~np.isfinite(block)
         over = np.abs(block) > limit
         stop = np.nonzero(bad | over)[0]
@@ -258,11 +255,11 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
             # the coefficient slice depends only on the span: cache its FFT
             cached = fft_cache.get(span)
             if cached is None:
-                nfft = next_fast_len(seg.shape[0] + clen - 1)
-                cached = (nfft, rfft(a[1:span], nfft))
+                nfft = _fast_len(seg.shape[0] + clen - 1)
+                cached = (nfft, np.fft.rfft(a[1:span], nfft))
                 fft_cache[span] = cached
             nfft, a_hat = cached
-            conv = irfft(rfft(seg, nfft) * a_hat, nfft)
+            conv = np.fft.irfft(np.fft.rfft(seg, nfft) * a_hat, nfft)
         contrib[mid:hi] += conv[mid - lo - 1 : hi - lo - 1]
 
     def recurse(lo: int, hi: int):
@@ -283,6 +280,11 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         overflow = stop.overflow
         values = x[: stop.last_index + 1].copy()
     return Trajectory(values, kernel_id(kernel), "fft_blocked", x0, truncated, overflow)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^k * f >= n with f in {1, 3, 5}: an FFT length pocketfft runs fast."""
+    return min(f << (-(-n // f) - 1).bit_length() for f in (1, 3, 5))
 
 
 def classify(trajectory: Trajectory, thresholds: Thresholds | None = None) -> EmpiricalVerdict:

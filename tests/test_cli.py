@@ -114,8 +114,19 @@ def test_number_beyond_float_range_exit_two(tmp_path, capsys, text, field):
         ["reproduce-paper", "--steps", "50"],
         # alternating_cubic gets past AbsoluteSum and EFP, so the grid reaches the scan
         ["certify", "--kernel", "alternating_cubic", "--grid-points", "1"],
+        # EFP decides renewal before any scan, so certify() checks the grid up front
+        ["certify", "--kernel", "renewal", "--grid-points", "1"],
     ],
-    ids=["max-degree-0", "max-degree-negative", "certify-steps", "roots-n", "simulate-steps", "reproduce-steps", "grid"],
+    ids=[
+        "max-degree-0",
+        "max-degree-negative",
+        "certify-steps",
+        "roots-n",
+        "simulate-steps",
+        "reproduce-steps",
+        "grid",
+        "grid-renewal",
+    ],
 )
 def test_out_of_range_argument_exit_two(tmp_path, capsys, argv):
     kernels = {"renewal": renewal_kernel(), "alternating_cubic": alternating_cubic_kernel()}

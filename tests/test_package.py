@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import volterra_stability
 
@@ -30,3 +34,15 @@ def test_package_republishes_every_submodule_all():
         module = importlib.import_module(f"volterra_stability.{name}")
         for public in module.__all__:
             assert getattr(volterra_stability, public) is getattr(module, public), (name, public)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules the test run itself loaded do not count
+    src = str(Path(volterra_stability.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, volterra_stability, volterra_stability.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -204,6 +204,19 @@ def test_fast_truncates_like_direct():
     assert np.max(np.abs(a.values - b.values) / scale) <= 1e-9
 
 
+@pytest.mark.parametrize("prefix", [(1000.0,), (8.0,)])
+def test_fast_resolvent_overflow_keeps_direct_flags(prefix):
+    # the resolvent 1/(1 - a(z)) leaves float range inside the first base
+    # block while x0 * r stays finite: blocks built from the cut-short
+    # resolvent would miss the step where the direct recursion truncates
+    k = KernelSpec(prefix, TailModel.zero())
+    a = solve(k, 2**17, x0=1e-300)
+    b = solve_fast(k, 2**17, x0=1e-300)
+    assert (len(b), b.truncated, b.overflow) == (len(a), a.truncated, a.overflow)
+    assert a.truncated and not a.overflow
+    assert np.array_equal(a.values, b.values)
+
+
 # ---------------------------------------------------------------------------
 # classify
 
