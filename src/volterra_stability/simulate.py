@@ -5,14 +5,17 @@ multiple of it, so boundedness / decay of this one trajectory decides the
 stability notions the certificate layer reports.
 
 Two evaluation strategies share one contract: ``solve`` is the direct
-quadratic recursion, ``solve_fast`` accumulates past-block contributions to
-future indices with FFT convolutions (divide-and-conquer blocking) and solves
-each base block as one convolution with the first values of that canonical
-trajectory, the resolvent 1/(1 - a(z)); numpy is its only dependency.  Kernels
-whose tail ratio |q| exceeds 1 are internally rescaled by q**-n so the
-recursion runs on bounded coefficients; that keeps exactly-cancelling
-trajectories (for instance geometric kernels whose solution dies after two
-steps) exactly zero instead of overflowing.
+quadratic recursion, ``solve_fast`` seeds x_0's share a_n x_0 of every x_n,
+accumulates past-block contributions to future indices with FFT convolutions
+(divide-and-conquer blocking) and solves each base block as one convolution
+with the first values of that canonical trajectory, the resolvent
+1/(1 - a(z)); numpy is its only dependency.  Every path ends through one stop
+rule, ``_cut``: the values end before the first non-finite x_n (overflow) or
+at the first |x_n| beyond ten times the unbounded cutoff (truncated), where
+n >= 1, so x_0 never stops a run.  Kernels whose tail ratio |q| exceeds 1 are
+internally rescaled by q**-n so the recursion runs on bounded coefficients;
+that keeps exactly-cancelling trajectories (for instance geometric kernels
+whose solution dies after two steps) exactly zero instead of overflowing.
 """
 
 from __future__ import annotations
@@ -95,12 +98,6 @@ class EmpiricalVerdict:
     witness_value: float
 
 
-class _EarlyStop(Exception):
-    def __init__(self, last_index: int, overflow: bool):
-        self.last_index = last_index
-        self.overflow = overflow
-
-
 def _inner_dot(a_rev: np.ndarray, x: np.ndarray, n: int) -> float:
     """sum_{i<n} a_{n-i} x_i with a fixed, reproducible evaluation order."""
     off = a_rev.shape[0] - n
@@ -123,20 +120,33 @@ def _needs_rescale(kernel: KernelSpec) -> bool:
     return (not t.is_zero) and abs(t.q) > 1.0
 
 
-def _scaled_kernel(kernel: KernelSpec) -> tuple[KernelSpec, float]:
-    """Divide a_n by q^n so the tail coefficients stay bounded."""
-    q = kernel.tail.q
-    pref = tuple(v / q ** (i + 1) for i, v in enumerate(kernel.prefix))
-    t = kernel.tail
-    return KernelSpec(pref, TailModel.parametric(t.c, 1.0, t.alpha, t.beta)), q
+def _limit(steps: int, x0: float, thresholds: Thresholds | None) -> float:
+    """Check the arguments both solvers share; return the stop limit."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
+    return 10.0 * (thresholds or Thresholds()).unbounded_cutoff
+
+
+def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
+    """The stop rule: (values, truncated, overflow) for the computed x.
+
+    Scans x_1, x_2, ... (never x_0, the caller's value): the values end before
+    the first non-finite x_n, or at the first |x_n| > limit.
+    """
+    bad = np.flatnonzero(~np.isfinite(x[1:]) | (np.abs(x[1:]) > limit))
+    if bad.size == 0:
+        return x, False, False
+    n = int(bad[0]) + 1
+    if math.isfinite(x[n]):
+        return x[: n + 1].copy(), True, False
+    return x[:n].copy(), True, True
 
 
 def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Direct O(steps^2) evaluation of the recursion, oldest index first."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    th = thresholds or Thresholds()
-    limit = 10.0 * th.unbounded_cutoff
+    limit = _limit(steps, x0, thresholds)
     if _needs_rescale(kernel):
         values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
     else:
@@ -149,65 +159,55 @@ def _run_plain(a: np.ndarray, steps: int, x0: float, limit: float):
     x = np.zeros(steps + 1)
     x[0] = x0
     for n in range(1, steps + 1):
-        v = _inner_dot(a_rev, x, n)
-        if not math.isfinite(v):
-            return x[:n].copy(), True, True
-        x[n] = v
-        if abs(v) > limit:
-            return x[: n + 1].copy(), True, False
-    return x, False, False
+        v = x[n] = _inner_dot(a_rev, x, n)
+        if not math.isfinite(v) or abs(v) > limit:
+            break
+    return _cut(x, limit)
 
 
 def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
-    scaled, q = _scaled_kernel(kernel)
-    a = terms(scaled, steps)
-    a_rev = _reversed_coeffs(a)
+    """The recursion on a_n / q^n, whose tail coefficients stay bounded."""
+    t = kernel.tail
+    q = t.q
+    pref = tuple(v / q ** (i + 1) for i, v in enumerate(kernel.prefix))
+    a_rev = _reversed_coeffs(terms(KernelSpec(pref, TailModel.parametric(t.c, 1.0, t.alpha, t.beta)), steps))
     u = np.zeros(steps + 1)
     x = np.zeros(steps + 1)
     u[0] = x0
     x[0] = x0
     pw = 1.0  # q^n * 2^-sigma, tracked alongside the rescaled history
     for n in range(1, steps + 1):
-        un = _inner_dot(a_rev, u, n)
-        if not math.isfinite(un):
-            return x[:n].copy(), True, True
-        u[n] = un
+        un = u[n] = _inner_dot(a_rev, u, n)
         pw *= q
-        if un == 0.0:
-            xn = 0.0
-        else:
-            xn = pw * un
-            if not math.isfinite(xn):
-                return x[:n].copy(), True, True
-        x[n] = xn
-        if abs(xn) > limit:
-            return x[: n + 1].copy(), True, False
+        # a non-finite u_n gives a non-finite x_n: the product is inf or nan
+        xn = x[n] = 0.0 if un == 0.0 else pw * un
+        if not math.isfinite(xn) or abs(xn) > limit:
+            break
         if n % 64 == 0:
             recent = np.max(np.abs(u[max(0, n - 63) : n + 1]))
             if 0.0 < recent < _RENORM_LIMIT:
                 # exact power-of-two rescale of the reduced history
                 u[: n + 1] *= _RENORM_FACTOR
                 pw /= _RENORM_FACTOR
-    return x, False, False
+    return _cut(x, limit)
 
 
 def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Blocked-convolution evaluation; same contract as ``solve``.
 
-    Past-block contributions to future indices are accumulated with FFT
-    convolutions.  Inside a base block the recursion is the lower-triangular
-    Toeplitz system (I - L) x = rhs, whose inverse is the Toeplitz matrix of
-    the resolvent r = 1/(1 - a(z)): r is the x_0 = 1 trajectory, computed
-    once by the direct recursion, and each block is one convolution with it.
-    Kernels needing the q^n rescale, or whose resolvent leaves float range
-    within one block, keep the direct path.
+    x_0's share a_n x_0 of every x_n is seeded up front, so the blocks cover
+    x_1..x_steps alone.  Past-block contributions to future indices are
+    accumulated with FFT convolutions.  Inside a base block the recursion is
+    the lower-triangular Toeplitz system (I - L) x = rhs, whose inverse is the
+    Toeplitz matrix of the resolvent r = 1/(1 - a(z)): r is the x_0 = 1
+    trajectory, computed once by the direct recursion, and each block is one
+    convolution with it.  The first block that breaks ``_cut``'s stop rule
+    ends the run.  Kernels needing the q^n rescale, or whose resolvent leaves
+    float range within one block, keep the direct path.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    limit = _limit(steps, x0, thresholds)
     if _needs_rescale(kernel):
         return solve(kernel, steps, x0, thresholds)
-    th = thresholds or Thresholds()
-    limit = 10.0 * th.unbounded_cutoff
 
     a = terms(kernel, steps)
     base = max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
@@ -218,67 +218,42 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         return solve(kernel, steps, x0, thresholds)
     x = np.zeros(steps + 1)
     x[0] = x0
-    contrib = np.zeros(steps + 1)
+    contrib = a * x0
 
-    def run_base(lo: int, hi: int):
-        i0 = max(lo, 1)
-        m = hi - i0
-        if m <= 0:
-            return
-        rhs = contrib[i0:hi]
-        if lo == 0:
-            rhs = rhs + a[i0:hi] * x0
-        block = np.convolve(r[:m], rhs)[:m]
-        bad = ~np.isfinite(block)
-        over = np.abs(block) > limit
-        stop = np.nonzero(bad | over)[0]
-        if stop.size:
-            j = int(stop[0])
-            x[i0 : i0 + j + 1] = np.where(np.isfinite(block[: j + 1]), block[: j + 1], 0.0)
-            if bad[j]:
-                raise _EarlyStop(i0 + j - 1, True)
-            x[i0 + j] = block[j]
-            raise _EarlyStop(i0 + j, False)
-        x[i0:hi] = block
+    def run_base(lo: int, hi: int) -> bool:
+        x[lo:hi] = np.convolve(r[: hi - lo], contrib[lo:hi])[: hi - lo]
+        return _cut(x[lo - 1 : hi], limit)[1]
 
     fft_cache: dict[int, tuple[int, np.ndarray]] = {}
 
     def cross(lo: int, mid: int, hi: int):
         seg = x[lo:mid]
         span = hi - lo
-        clen = span - 1
-        if clen == 0 or seg.shape[0] == 0:
-            return
-        if seg.shape[0] * clen <= 65536:
+        if seg.shape[0] * (span - 1) <= 65536:
             conv = np.convolve(seg, a[1:span])
         else:
             # the coefficient slice depends only on the span: cache its FFT
             cached = fft_cache.get(span)
             if cached is None:
-                nfft = _fast_len(seg.shape[0] + clen - 1)
+                nfft = _fast_len(seg.shape[0] + span - 2)
                 cached = (nfft, np.fft.rfft(a[1:span], nfft))
                 fft_cache[span] = cached
             nfft, a_hat = cached
             conv = np.fft.irfft(np.fft.rfft(seg, nfft) * a_hat, nfft)
         contrib[mid:hi] += conv[mid - lo - 1 : hi - lo - 1]
 
-    def recurse(lo: int, hi: int):
+    def recurse(lo: int, hi: int) -> bool:
+        """Fill x[lo:hi]; True once the stop rule ends the run."""
         if hi - lo <= base:
-            run_base(lo, hi)
-            return
+            return run_base(lo, hi)
         mid = (lo + hi) // 2
-        recurse(lo, mid)
+        if recurse(lo, mid):
+            return True
         cross(lo, mid, hi)
-        recurse(mid, hi)
+        return recurse(mid, hi)
 
-    truncated = overflow = False
-    values = x
-    try:
-        recurse(0, steps + 1)
-    except _EarlyStop as stop:
-        truncated = True
-        overflow = stop.overflow
-        values = x[: stop.last_index + 1].copy()
+    recurse(1, steps + 1)
+    values, truncated, overflow = _cut(x, limit)
     return Trajectory(values, kernel_id(kernel), "fft_blocked", x0, truncated, overflow)
 
 

@@ -136,6 +136,16 @@ def test_out_of_range_argument_exit_two(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and "must be >=" in err
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_nonfinite_x0_exit_two(tmp_path, capsys, x0):
+    # a non-finite x0 would print NaN / Infinity, which is not JSON
+    path = _write_kernel(tmp_path, renewal_kernel())
+    assert main(["simulate", "--kernel", path, "--steps", "3", f"--x0={x0}", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "x0 must be finite" in err
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["roots", "--kernel", str(tmp_path / "nope.json"), "--n", "2"]) == 2
 

@@ -102,11 +102,30 @@ def test_solve_metadata():
         solve(k, 0)
 
 
-def test_solve_early_exit_flags():
-    t = solve(KernelSpec((2.0,), TailModel.zero()), 200)
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_solve_early_exit_flags(run):
+    t = run(KernelSpec((2.0,), TailModel.zero()), 200)
     assert t.truncated and not t.overflow
     assert abs(t.values[-1]) > 1e13
     assert len(t.values) < 201
+    # x_44 = 2^44 is the first beyond 1e13, past solve_fast's first 16-wide block
+    assert len(t.values) == 45
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_x0_never_stops_a_run(run):
+    # the stop rule scans x_1, x_2, ...: an x0 beyond the cutoff is the caller's value
+    t = run(KernelSpec((), TailModel.zero()), 2**14, x0=1e20)
+    assert len(t.values) == 2**14 + 1 and not t.truncated and not t.overflow
+    t = run(KernelSpec((0.5,), TailModel.zero()), 2**14, x0=1e20)
+    assert len(t.values) == 2 and t.truncated and not t.overflow
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_nonfinite_x0_rejected(run, x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run(renewal_kernel(), 3, x0=x0)
 
 
 def test_solve_overflow_flags():
@@ -268,9 +287,11 @@ def test_thresholds_validation():
         Thresholds(window_fraction=0.0)
 
 
-def test_custom_thresholds_change_cutoff():
-    t = solve(KernelSpec((2.0,), TailModel.zero()), 200, thresholds=Thresholds(unbounded_cutoff=1e3))
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_custom_thresholds_change_cutoff(run):
+    t = run(KernelSpec((2.0,), TailModel.zero()), 200, thresholds=Thresholds(unbounded_cutoff=1e3))
     assert t.truncated and abs(t.values[-1]) > 1e4
+    assert len(t.values) == 15
     v = classify(t, Thresholds(unbounded_cutoff=1e3))
     assert v.kind == UNBOUNDED
 
