@@ -30,6 +30,7 @@ from .charfun import (
 )
 from .kernel import (
     KernelSpec,
+    SumEnclosure,
     _value_upper_bound,
     kernel_id,
     power_series_value,
@@ -103,6 +104,11 @@ def _na(criterion: str, rigor: str = RIGOROUS, **witness) -> Certificate:
     return Certificate(NOT_APPLICABLE, criterion, rigor, witness)
 
 
+def _sum_witness(enc: SumEnclosure) -> dict:
+    """The status of a sum that decided nothing, with its bounds when finite."""
+    return {"status": enc.status, **({"sum_lo": enc.lo, "sum_hi": enc.hi} if enc.is_finite else {})}
+
+
 # ---------------------------------------------------------------------------
 # individual criteria
 
@@ -117,17 +123,12 @@ def test_absolute_sum(kernel: KernelSpec) -> Certificate:
             RIGOROUS,
             {"sum_lo": enc.lo, "sum_hi": enc.hi},
         )
-    w = {"status": enc.status}
-    if enc.is_finite:
-        w.update(sum_lo=enc.lo, sum_hi=enc.hi)
-    return _na("AbsoluteSum", **w)
+    return _na("AbsoluteSum", **_sum_witness(enc))
 
 
 def _tail_nonnegative(kernel: KernelSpec) -> bool:
     t = kernel.tail
-    if t.is_zero or t.q == 0.0:
-        return True
-    return t.c > 0.0 and t.q > 0.0
+    return t.q == 0.0 or (t.c > 0.0 and t.q > 0.0)
 
 
 def test_efp(kernel: KernelSpec) -> Certificate:
@@ -140,10 +141,7 @@ def test_efp(kernel: KernelSpec) -> Certificate:
         return _na("EFP", reason="support gcd", gcd=g)
     total = series_sum(kernel, "plain", _EFP_SUM_WIDTH)
     if not (total.is_finite and total.width <= _EFP_SUM_WIDTH and total.contains(1.0)):
-        w = {"reason": "sum not certified equal to 1", "status": total.status}
-        if total.is_finite:
-            w.update(sum_lo=total.lo, sum_hi=total.hi)
-        return _na("EFP", **w)
+        return _na("EFP", reason="sum not certified equal to 1", **_sum_witness(total))
     moment = series_sum(kernel, "first_moment", _EFP_SUM_WIDTH)
     if not moment.is_divergent:
         return _na("EFP", reason="first moment not divergent", status=moment.status)

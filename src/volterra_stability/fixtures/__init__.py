@@ -10,10 +10,9 @@ geometric kernel with unit mass.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from ..kernel import KernelSpec, kernel_from_dict
+from ..kernel import KernelSpec, loads_kernel
 
 __all__ = ["fixture_names", "load_fixture", "fixture_text"]
 
@@ -41,4 +40,4 @@ def fixture_text(name: str) -> str:
 
 
 def load_fixture(name: str) -> KernelSpec:
-    return kernel_from_dict(json.loads(fixture_text(name)))
+    return loads_kernel(fixture_text(name))

@@ -105,9 +105,6 @@ class KernelSpec:
     def prefix_len(self) -> int:
         return len(self.prefix)
 
-    def term(self, n: int) -> float:
-        return term(self, n)
-
 
 @dataclass(frozen=True)
 class SumEnclosure:
@@ -158,8 +155,6 @@ def term(kernel: KernelSpec, n: int) -> float:
     if n <= len(kernel.prefix):
         return kernel.prefix[n - 1]
     t = kernel.tail
-    if t.is_zero:
-        return 0.0
     return float(_tail_terms(t.c, t.q, t.alpha, t.beta, np.array([float(n)]))[0])
 
 
@@ -170,7 +165,7 @@ def terms(kernel: KernelSpec, count: int) -> np.ndarray:
     if npre:
         out[1 : npre + 1] = kernel.prefix[:npre]
     t = kernel.tail
-    if not t.is_zero and count > len(kernel.prefix):
+    if count > len(kernel.prefix):
         out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))
     return out
 
@@ -383,27 +378,27 @@ def series_sum(kernel: KernelSpec, mode: str = "plain", precision: float = 1e-12
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not precision > 0:
-        raise ValueError("precision must be positive")
-    weight, absolute = _MODES[mode]
-    vals = [abs(v) for v in kernel.prefix] if absolute else list(kernel.prefix)
-    parts = [v * (i + 1) ** weight for i, v in enumerate(vals)]
-    pref = _prefix_sum(parts, sum(Fraction(v) * (i + 1) ** weight for i, v in enumerate(vals)))
-    t = kernel.tail
-    return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, len(vals) + 1, weight, absolute, precision))
+    return _sum_past(kernel, 0, *_MODES[mode], precision)
 
 
 def tail_abs_sum(kernel: KernelSpec, n: int, precision: float = 1e-12) -> SumEnclosure:
     """Certified enclosure of L_n = Sum_{i>n} |a_i|."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _sum_past(kernel, n, 0, True, precision)
+
+
+def _sum_past(kernel: KernelSpec, n: int, weight: int, absolute: bool, precision: float) -> SumEnclosure:
+    """Sum_{i>n} i^weight a_i (|a_i| when absolute): the prefix parts with their
+    exact sum (a part v * i can round, a part v is exact), plus the tail enclosure."""
     if not precision > 0:
         raise ValueError("precision must be positive")
-    parts = [abs(v) for v in kernel.prefix[n:]]
-    pref = _prefix_sum(parts, sum(map(Fraction, parts)))
+    vals = [(i, abs(v) if absolute else v) for i, v in enumerate(kernel.prefix[n:], n + 1)]
+    parts = [v * i**weight for i, v in vals]
+    pref = _prefix_sum(parts, sum(Fraction(v) * i for i, v in vals) if weight else sum(map(Fraction, parts)))
     t = kernel.tail
     start = max(n, len(kernel.prefix)) + 1
-    return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, 0, True, precision))
+    return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, weight, absolute, precision))
 
 
 def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -> SumEnclosure:
@@ -465,7 +460,7 @@ def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
 def radius_of_convergence(kernel: KernelSpec) -> float:
     """Radius of convergence of Sum a_n z^n; the prefix never affects it."""
     t = kernel.tail
-    if t.is_zero or t.q == 0.0:
+    if t.q == 0.0:
         return math.inf
     return 1.0 / abs(t.q)
 
@@ -477,18 +472,17 @@ def support_gcd(kernel: KernelSpec) -> int | None:
         if v > 0.0:
             g = math.gcd(g, i + 1)
     t = kernel.tail
-    if not t.is_zero and t.q != 0.0:
-        npre = len(kernel.prefix)
-        if t.c > 0.0 and t.q > 0.0:
-            # every index past the prefix is in the support
-            g = math.gcd(g, math.gcd(npre + 1, npre + 2))
-        elif t.q < 0.0:
-            if t.c > 0.0:
-                # positive at even indices only
-                g = math.gcd(g, 2)
-            else:
-                # positive at odd indices: two consecutive odd numbers are coprime
-                g = math.gcd(g, 1)
+    npre = len(kernel.prefix)
+    if t.c > 0.0 and t.q > 0.0:
+        # every index past the prefix is in the support
+        g = math.gcd(g, math.gcd(npre + 1, npre + 2))
+    elif t.q < 0.0:
+        if t.c > 0.0:
+            # positive at even indices only
+            g = math.gcd(g, 2)
+        else:
+            # positive at odd indices: two consecutive odd numbers are coprime
+            g = math.gcd(g, 1)
     return g if g > 0 else None
 
 

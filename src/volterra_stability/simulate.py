@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, TailModel, kernel_id, terms
+from .kernel import KernelSpec, TailModel, kernel_id, radius_of_convergence, terms
 
 __all__ = [
     "Thresholds",
@@ -115,11 +115,6 @@ def _reversed_coeffs(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[1:][::-1])
 
 
-def _needs_rescale(kernel: KernelSpec) -> bool:
-    t = kernel.tail
-    return (not t.is_zero) and abs(t.q) > 1.0
-
-
 def _limit(steps: int, x0: float, thresholds: Thresholds | None) -> float:
     """Check the arguments both solvers share; return the stop limit."""
     if steps < 1:
@@ -147,7 +142,7 @@ def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
 def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Direct O(steps^2) evaluation of the recursion, oldest index first."""
     limit = _limit(steps, x0, thresholds)
-    if _needs_rescale(kernel):
+    if radius_of_convergence(kernel) < 1.0:
         values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
     else:
         values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, limit)
@@ -169,7 +164,7 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     """The recursion on a_n / q^n, whose tail coefficients stay bounded."""
     t = kernel.tail
     q = t.q
-    pref = tuple(v / q ** (i + 1) for i, v in enumerate(kernel.prefix))
+    pref = tuple(_reduce(v, q, i + 1) for i, v in enumerate(kernel.prefix))
     a_rev = _reversed_coeffs(terms(KernelSpec(pref, TailModel.parametric(t.c, 1.0, t.alpha, t.beta)), steps))
     u = np.zeros(steps + 1)
     x = np.zeros(steps + 1)
@@ -192,6 +187,16 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     return _cut(x, limit)
 
 
+def _reduce(v: float, q: float, k: int) -> float:
+    """v / q^k: one division while q^k is a float, else one factor of q at a time."""
+    try:
+        return v / q**k
+    except OverflowError:
+        for _ in range(k):
+            v /= q
+        return v
+
+
 def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Blocked-convolution evaluation; same contract as ``solve``.
 
@@ -206,7 +211,7 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     float range within one block, keep the direct path.
     """
     limit = _limit(steps, x0, thresholds)
-    if _needs_rescale(kernel):
+    if radius_of_convergence(kernel) < 1.0:
         return solve(kernel, steps, x0, thresholds)
 
     a = terms(kernel, steps)

@@ -56,6 +56,20 @@ def geometric_half_kernel():
     return KernelSpec((), TailModel.parametric(1.0, 0.5))
 
 
+def zero_q_pairs():
+    """(parametric(c, 0, alpha, beta) kernel, zero-tail kernel) on one prefix.
+
+    A q = 0 tail is zero past the prefix, so the two describe one sequence.
+    """
+    prefixes = [(), (0.5,), (1.0,), (0.5, 0.5), (1.5, -0.5625), (4.0, -4.0), (-0.3, 0.2, 0.1), (0.25, 0.0, 0.5)]
+    return [
+        (KernelSpec(p, TailModel.parametric(c, 0.0, alpha, beta)), KernelSpec(p, TailModel.zero()))
+        for p in prefixes
+        for c in (0.7, -0.7)
+        for alpha, beta in ((0.0, 0.0), (1.0, 2.0))
+    ]
+
+
 def paper_kernels():
     return {
         "renewal": renewal_kernel(),

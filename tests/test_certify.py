@@ -46,6 +46,7 @@ from conftest import (
     rouche_table_kernel,
     rouche_unstable_pair_kernel,
     small_radius_unstable_kernel,
+    zero_q_pairs,
 )
 
 
@@ -606,3 +607,17 @@ def test_rigorous_certificates_match_long_simulation(rng):
             assert emp.kind != "unbounded", name
         if verdict == UNSTABLE:
             assert emp.kind == "unbounded", name
+
+
+@pytest.mark.parametrize("k, z", zero_q_pairs())
+def test_zero_q_tail_certifies_like_the_zero_tail(k, z):
+    # the tail kind is serialised, so only the kernel_id may differ
+    a, b = (report_to_dict(certify(x, 8, 500, 512)) for x in (k, z))
+    assert a.pop("kernel_id") != b.pop("kernel_id")
+    assert a == b
+    # a report keeps no witness of a criterion that did not fire: compare those too
+    for check in (check_absolute_sum, check_efp, lambda x: check_real_axis_root(x, 512)):
+        assert check(k) == check(z)
+    for n in (1, 2, 3):
+        assert check_rouche_stable(k, n) == check_rouche_stable(z, n)
+        assert check_rouche_unstable(k, n) == check_rouche_unstable(z, n)

@@ -80,6 +80,30 @@ def test_certify_beyond_float_range_reports(tmp_path, capsys, payload):
     assert report["attempts"][0]["criterion"] == "AbsoluteSum"
 
 
+@pytest.mark.parametrize(
+    "argv", [["certify"], ["simulate"], ["simulate", "--fast"]], ids=["certify", "simulate", "simulate-fast"]
+)
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {
+            "prefix": [1.6922323085429465, 1.0],
+            "tail": {"kind": "parametric", "c": -1.0, "q": 1e300, "alpha": 0.07626300549533838, "beta": 3.0},
+        },
+        {"prefix": [1.0, 1.0], "tail": {"kind": "parametric", "c": 1.0, "q": 1e300, "alpha": 0.0, "beta": 0.0}},
+    ],
+    ids=["alpha-beta", "geometric"],
+)
+def test_huge_q_exit_zero(tmp_path, capsys, argv, payload):
+    # q^k leaves float range at k = 2: no OverflowError, no exit status 1
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main([*argv, "--kernel", str(path)]) == 0
+    out = capsys.readouterr().out
+    if argv == ["certify"]:
+        assert out.startswith("unstable (")
+
+
 def test_malformed_kernel_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"prefix": [1.0], "tail": {"kind": "parametric", "c": 1.0, "q": 0.5, "alpha": -3.0, "beta": 0.0}}')

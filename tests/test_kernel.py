@@ -37,6 +37,7 @@ from conftest import (
     rouche_stable_pair_kernel,
     rouche_table_kernel,
     small_radius_unstable_kernel,
+    zero_q_pairs,
 )
 
 kernel_mod = importlib.import_module("volterra_stability.kernel")
@@ -705,3 +706,35 @@ def test_power_series_value_covers_underflow(kernel, t):
             r = mpmath.mpf(kernel.tail.q) * x
             value += mpmath.mpf(kernel.tail.c) * r ** (len(kernel.prefix) + 1) / (1 - r)
         assert value > 0 and _holds(enc, value)
+
+
+def _same_enclosure(a, b):
+    return a.status == b.status and (not a.is_finite or (a.lo, a.hi) == (b.lo, b.hi))
+
+
+def test_tail_abs_sum_from_zero_is_absolute_series_sum():
+    rng = np.random.default_rng(91)
+    kernels = list(paper_kernels().values())
+    for _ in range(40):
+        pref = tuple(rng.uniform(-1.5, 1.5, size=int(rng.integers(0, 5))))
+        c = float(rng.uniform(-1.0, 1.0)) or 0.5
+        q = float(rng.uniform(-1.5, 1.5))
+        alpha, beta = (float(v) for v in rng.integers(0, 3, size=2))
+        kernels.append(KernelSpec(pref, TailModel.parametric(c, q, alpha, beta)))
+    for k in kernels:
+        for p in (1e-12, 1e-6):
+            assert _same_enclosure(tail_abs_sum(k, 0, p), series_sum(k, "absolute", p)), (k, p)
+
+
+@pytest.mark.parametrize("k, z", zero_q_pairs())
+def test_zero_q_tail_is_the_zero_tail(k, z):
+    n = len(k.prefix)
+    # values, not bytes: c < 0 gives -0.0 where the zero tail gives +0.0
+    assert [term(k, i) for i in range(1, n + 6)] == [term(z, i) for i in range(1, n + 6)]
+    assert np.array_equal(terms(k, n + 20), terms(z, n + 20))
+    assert radius_of_convergence(k) == radius_of_convergence(z) == math.inf
+    assert support_gcd(k) == support_gcd(z)
+    for mode in ("plain", "absolute", "first_moment", "first_moment_abs"):
+        assert _same_enclosure(series_sum(k, mode), series_sum(z, mode)), mode
+    for i in range(n + 2):
+        assert _same_enclosure(tail_abs_sum(k, i), tail_abs_sum(z, i)), i

@@ -320,3 +320,18 @@ def test_scaling_equivariance_property(beta, steps):
     unit = solve(k, steps).values
     scaled = solve(k, steps, x0=beta).values
     assert np.max(np.abs(scaled - beta * unit)) <= 1e-12 * (1.0 + np.max(np.abs(beta * unit)))
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        KernelSpec((1.6922323085429465, 1.0), TailModel.parametric(-1.0, 1e300, 0.07626300549533838, 3.0)),
+        KernelSpec((1.0, 1.0), TailModel.parametric(1.0, 1e300)),
+    ],
+)
+def test_huge_q_does_not_raise(run, kernel):
+    # q^2 = 1e600 is beyond float range; a_3 is too, so the run is unbounded
+    traj = run(kernel, 50)
+    assert traj.values[0] == 1.0
+    assert classify(traj).kind == UNBOUNDED
