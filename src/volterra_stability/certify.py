@@ -297,7 +297,7 @@ def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
     idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
     if idx.size == 0:
         return _na("MarginalStable", HEURISTIC, reason="no near-zero on the circle", circle_min=float(np.min(vals)))
-    if idx.size > 1 and np.min(np.diff(np.sort(idx))) < 8:
+    if idx.size > 1 and np.min(np.diff(idx, append=idx[0] + g)) < 8:
         return _na("MarginalStable", HEURISTIC, reason="circle zeros not isolated on the grid")
     zeros = []
     for i in idx:

@@ -15,7 +15,7 @@ import sys
 from .certify import Report, certify, report_to_dict
 from .charfun import NonConvergence, pn_roots
 from .fixtures import fixture_names, load_fixture
-from .kernel import KernelFormatError, KernelSpec, load_kernel, tail_abs_sum
+from .kernel import KernelFormatError, load_kernel, tail_abs_sum
 from .simulate import solve, solve_fast, trajectory_to_csv
 
 _TABLE_R = {4: 0.913, 5: 0.781, 6: 0.667}
@@ -124,34 +124,24 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _table_rows(kernel: KernelSpec) -> list[dict]:
-    rows = []
-    for n in range(1, 7):
-        rs = pn_roots(kernel, n)
-        row = {"n": n, "r_n": rs.r_n, "L_n": None, "threshold": None}
-        if rs.r_n < 1.0:
-            enc = tail_abs_sum(kernel, n)
-            row["L_n"] = enc.hi
-            row["threshold"] = (1.0 - rs.r_n) ** n
-        rows.append(row)
-    return rows
-
-
 def _cmd_reproduce(args) -> int:
     failures: list[str] = []
     table_kernel = load_fixture("rouche_table")
-    rows = _table_rows(table_kernel)
-
+    rows = []
     lines = ["n, r_n, L_n, (1-r_n)^n"]
-    for row in rows:
-        r = f"{row['r_n']:.3f}"
-        ln = "-" if row["L_n"] is None else f"{row['L_n']:.5f}"
-        th = "-" if row["threshold"] is None else f"{row['threshold']:.5f}"
-        lines.append(f"{row['n']}, {r}, {ln}, {th}")
-        n = row["n"]
+    for n in range(1, 7):
+        r_n = pn_roots(table_kernel, n).r_n
+        row = {"n": n, "r_n": r_n, "L_n": None, "threshold": None}
+        ln = th = "-"
+        if r_n < 1.0:
+            row["L_n"] = tail_abs_sum(table_kernel, n).hi
+            row["threshold"] = (1.0 - r_n) ** n
+            ln, th = f"{row['L_n']:.5f}", f"{row['threshold']:.5f}"
+        rows.append(row)
+        lines.append(f"{n}, {r_n:.3f}, {ln}, {th}")
         if n in _TABLE_R:
-            if abs(row["r_n"] - _TABLE_R[n]) > _R_TOL:
-                failures.append(f"r_{n} = {row['r_n']:.6f} deviates from {_TABLE_R[n]}")
+            if abs(r_n - _TABLE_R[n]) > _R_TOL:
+                failures.append(f"r_{n} = {r_n:.6f} deviates from {_TABLE_R[n]}")
             if row["L_n"] is None or abs(row["L_n"] - _TABLE_L[n]) > _L_TOL:
                 failures.append(f"L_{n} deviates from {_TABLE_L[n]}")
     print("\n".join(lines))
@@ -173,12 +163,9 @@ def _cmd_reproduce(args) -> int:
             if len(fired) != 1 or fired[0].get("n") != 6:
                 failures.append("rouche_table: stability certificate did not fire exactly at n = 6")
 
-    payload = json.dumps({"table": rows, "verdicts": verdicts}, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _emit(payload, args.out)
-    else:
+    if not args.out:
         print()
-        sys.stdout.write(payload)
+    _emit(json.dumps({"table": rows, "verdicts": verdicts}, indent=2, sort_keys=True) + "\n", args.out)
 
     if failures:
         for f in failures:
@@ -197,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"argument error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return 2
     except NonConvergence as e:

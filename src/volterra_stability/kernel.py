@@ -162,11 +162,9 @@ def terms(kernel: KernelSpec, count: int) -> np.ndarray:
     """Vector of a_0..a_count with a_0 = 0 (index k holds a_k)."""
     out = np.zeros(count + 1)
     npre = min(len(kernel.prefix), count)
-    if npre:
-        out[1 : npre + 1] = kernel.prefix[:npre]
+    out[1 : npre + 1] = kernel.prefix[:npre]
     t = kernel.tail
-    if count > len(kernel.prefix):
-        out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))
+    out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))
     return out
 
 
@@ -331,37 +329,28 @@ def _bracketed(
 _MODES = {"plain": (0, False), "absolute": (0, True), "first_moment": (1, False), "first_moment_abs": (1, True)}
 
 
-def _prefix_sum(parts, exact: Fraction | None = None) -> tuple[float, float] | None:
-    """fsum of the prefix contributions ``parts`` and a bound on its error.
+def _add(parts, tail: SumEnclosure, exact: Fraction | None = None, slack: float = 0.0) -> SumEnclosure:
+    """fsum of the prefix contributions ``parts`` plus the tail enclosure.
 
-    None when a part or the sum leaves float range.  The bound is 0 when the
-    fsum equals ``exact``, else 4*eps*Sum|part|, which covers the rounding of
-    each part and of the fsum, plus the smallest subnormal, so that parts that
-    underflowed to 0 are never taken for an exact sum.
+    A divergent tail stays divergent; parts or a sum beyond float range give
+    Unknown.  The pad is 4*eps*Sum|part| (the rounding of each part and of the
+    fsum) plus the smallest subnormal (so that parts that underflowed to 0 are
+    never taken for an exact sum), 0 when the fsum equals ``exact``, plus
+    ``slack``, a bound on any further rounding.  The result is unpadded only
+    when the pad is 0 and the prefix or the tail is 0.
     """
+    if tail.is_divergent:
+        return tail
     try:
         parts = list(parts)
         total = math.fsum(parts)
         dirt = 4.0 * _EPS * sum(map(abs, parts)) + math.ulp(0.0)
     except (OverflowError, ValueError):
-        return None
+        return SumEnclosure.unknown()
+    if not tail.is_finite:
+        return SumEnclosure.unknown()
     if exact is not None and math.isfinite(total) and Fraction(total) == exact:
         dirt = 0.0
-    return total, dirt
-
-
-def _add(prefix: tuple[float, float] | None, tail: SumEnclosure, slack: float = 0.0) -> SumEnclosure:
-    """Prefix sum plus tail enclosure, padded by the prefix's error bound plus
-    ``slack``, a bound on any further rounding; unpadded only when both
-    bounds are 0 and the prefix or the tail is 0.
-
-    A divergent tail stays divergent.
-    """
-    if tail.is_divergent:
-        return tail
-    if prefix is None or not tail.is_finite:
-        return SumEnclosure.unknown()
-    total, dirt = prefix
     dirt += slack
     lo, hi = total + tail.lo, total + tail.hi
     if dirt == 0.0 and (total == 0.0 or tail.lo == tail.hi == 0.0):
@@ -395,10 +384,10 @@ def _sum_past(kernel: KernelSpec, n: int, weight: int, absolute: bool, precision
         raise ValueError("precision must be positive")
     vals = [(i, abs(v) if absolute else v) for i, v in enumerate(kernel.prefix[n:], n + 1)]
     parts = [v * i**weight for i, v in vals]
-    pref = _prefix_sum(parts, sum(Fraction(v) * i for i, v in vals) if weight else sum(map(Fraction, parts)))
+    exact = sum(Fraction(v) * i for i, v in vals) if weight else sum(map(Fraction, parts))
     t = kernel.tail
     start = max(n, len(kernel.prefix)) + 1
-    return _add(pref, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, weight, absolute, precision))
+    return _add(parts, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, weight, absolute, precision), exact)
 
 
 def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -> SumEnclosure:
@@ -412,7 +401,6 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
         raise ValueError("precision must be positive")
     if abs(t) >= radius_of_convergence(kernel):
         return SumEnclosure.unknown()
-    pref = _prefix_sum(v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
     # a t^k that underflows is off by up to ulp(0), so a_k t^k by |a_k| ulp(0);
     # summed part by part, since Sum |a_k| alone can overflow
     lost = sum(abs(v) * math.ulp(0.0) for v in kernel.prefix)
@@ -425,7 +413,8 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
     if bar >= 1.0:
         return SumEnclosure.unknown()
     enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, False, precision)
-    return _add(pref, enc, lost + abs(tm.c) * (_EPS * bar + math.ulp(0.0)) / (1.0 - bar) ** 2)
+    parts = (v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
+    return _add(parts, enc, slack=lost + abs(tm.c) * (_EPS * bar + math.ulp(0.0)) / (1.0 - bar) ** 2)
 
 
 def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:

@@ -142,10 +142,11 @@ def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
 def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Direct O(steps^2) evaluation of the recursion, oldest index first."""
     limit = _limit(steps, x0, thresholds)
-    if radius_of_convergence(kernel) < 1.0:
-        values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
-    else:
-        values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, limit)
+    with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
+        if radius_of_convergence(kernel) < 1.0:
+            values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
+        else:
+            values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, limit)
     return Trajectory(values, kernel_id(kernel), "direct", x0, truncated, overflow)
 
 
@@ -217,7 +218,7 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     a = terms(kernel, steps)
     base = max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
     width = min(base, steps)
-    with np.errstate(over="ignore"):  # an overflowing resolvent only selects the direct path
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing resolvent only selects the direct path
         r, _, r_overflow = _run_plain(a[:width], width - 1, 1.0, math.inf)
     if r_overflow:
         return solve(kernel, steps, x0, thresholds)
@@ -257,7 +258,8 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         cross(lo, mid, hi)
         return recurse(mid, hi)
 
-    recurse(1, steps + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
+        recurse(1, steps + 1)
     values, truncated, overflow = _cut(x, limit)
     return Trajectory(values, kernel_id(kernel), "fft_blocked", x0, truncated, overflow)
 

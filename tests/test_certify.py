@@ -353,6 +353,33 @@ def test_marginal_rejects_certified_root():
     assert "root" in cert.witness["reason"]
 
 
+def test_marginal_double_circle_zero_not_applicable():
+    # s(z) = (1 - z)^2: |s| grows quadratically away from z = 1, not linearly
+    cert = check_marginal_stable(KernelSpec((2.0, -1.0), TailModel.zero()))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness["reason"] == "near-zero without locally linear growth"
+    assert cert.witness["theta"] == 0.0
+    assert cert.witness["profile"] == pytest.approx([0.0, 2.353e-6, 9.412e-6], rel=1e-3, abs=1e-18)
+
+
+def _circle_pair(center):
+    """Zero tail whose s_n has its circle zeros at the angles +-center +- 0.004:
+    on a 4,096-point grid, pairs 6 grid steps apart."""
+    if center == 0.0:
+        return KernelSpec((2.0 * math.cos(0.004), -1.0), TailModel.zero())
+    a, b = 2.0 * math.cos(center + 0.004), 2.0 * math.cos(center - 0.004)
+    # s(z) = (1 - a z + z^2)(1 - b z + z^2)
+    return KernelSpec((a + b, -(2.0 + a * b), a + b, -1.0), TailModel.zero())
+
+
+@pytest.mark.parametrize("center", [0.0, 1.0])
+def test_marginal_close_circle_zeros_not_isolated(center):
+    # the gap between the zeros just above and below theta = 0 wraps around the grid
+    cert = check_marginal_stable(_circle_pair(center))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness["reason"] == "circle zeros not isolated on the grid"
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 

@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import pytest
 
-from volterra_stability import dumps_kernel, pn_roots
+from volterra_stability import KernelSpec, TailModel, dumps_kernel, pn_roots
 from volterra_stability.cli import main
 from volterra_stability.fixtures import fixture_names, fixture_text, load_fixture
 
@@ -174,6 +175,43 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["roots", "--kernel", str(tmp_path / "nope.json"), "--n", "2"]) == 2
 
 
+def test_directory_kernel_exit_two(tmp_path, capsys):
+    assert main(["certify", "--kernel", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("file error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--steps", "3"],
+        ["roots", "--n", "2"],
+        ["certify", "--steps", "500", "--grid-points", "512"],
+        ["reproduce-paper", "--steps", "500", "--grid-points", "512"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_directory_out_exit_two(tmp_path, capsys, argv):
+    # writing to a directory is a file error (2), not a reference mismatch (1)
+    if argv[0] != "reproduce-paper":
+        argv = argv + ["--kernel", _write_kernel(tmp_path, renewal_kernel())]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("file error:")
+
+
+@pytest.mark.parametrize("fast", [[], ["--fast"]], ids=["direct", "fast"])
+def test_simulate_overflow_writes_no_warning(tmp_path, capsys, fast):
+    # overflow is a flagged outcome, not a numpy warning on stderr
+    path = _write_kernel(tmp_path, KernelSpec((1e300,), TailModel.zero()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--kernel", path, "--steps", "10", "--x0", "1e-290", *fast]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == ["n,x", "0,1.0000000000000001e-290", "1,10000000000.000002"]
+
+
 def test_unknown_flag_exit_two(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["simulate", "--bogus"])
@@ -208,13 +246,40 @@ def test_reproduce_paper_table_and_verdicts(tmp_path, capsys):
     assert payload["verdicts"]["alternating_cubic"]["final"]["verdict"] == "stable"
 
 
-def test_reproduce_paper_fails_on_deviation(monkeypatch, tmp_path, capsys):
+def _drop_fired_rouche(certify):
+    """certify, minus the RoucheStable attempt that fires on rouche_table."""
+
+    def wrapped(kernel, *args):
+        report = certify(kernel, *args)
+        if kernel == load_fixture("rouche_table"):
+            fired = [a for a in report.attempts if a["criterion"] == "RoucheStable" and a["verdict"] != "not_applicable"]
+            report.attempts = [a for a in report.attempts if a not in fired]
+        return report
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "name, patch, line",
+    [
+        ("_TABLE_R", lambda m: {4: 0.5, 5: 0.781, 6: 0.667}, "r_4 = 0.912752 deviates from 0.5"),
+        ("_TABLE_L", lambda m: {4: 0.24716, 5: 0.5, 6: 0.00024}, "L_5 deviates from 0.5"),
+        (
+            "_EXPECTED_FINALS",
+            lambda m: {**m._EXPECTED_FINALS, "renewal": ("stable", "EFP", "rigorous")},
+            "renewal: expected ('stable', 'EFP', 'rigorous'), got ('asymptotically_stable', 'EFP', 'rigorous')",
+        ),
+        ("certify", lambda m: _drop_fired_rouche(m.certify), "rouche_table: stability certificate did not fire exactly at n = 6"),
+    ],
+    ids=["r_table", "l_table", "finals", "rouche_fire"],
+)
+def test_reproduce_paper_fails_on_deviation(monkeypatch, tmp_path, capsys, name, patch, line):
     import volterra_stability.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "_TABLE_R", {4: 0.5, 5: 0.781, 6: 0.667})
+    monkeypatch.setattr(cli_mod, name, patch(cli_mod))
     code = main(["reproduce-paper", "--steps", "500", "--grid-points", "512", "--out", str(tmp_path / "x.json")])
     assert code == 1
-    assert "MISMATCH" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"MISMATCH: {line}"]
 
 
 def test_reproduce_paper_byte_identical(tmp_path, capsys):

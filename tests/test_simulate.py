@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from volterra_stability import (
     KernelSpec,
     TailModel,
     Thresholds,
+    certify,
     classify,
     kernel_id,
     solve,
@@ -135,6 +137,36 @@ def test_solve_overflow_flags():
     assert t.overflow and t.truncated
     assert np.all(np.isfinite(t.values))
     assert len(t.values) == 2  # x0, x1 = 1e10; x2 overflows
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_fast(KernelSpec((0.0,) * 200 + (1e300,), TailModel.zero()), 2**14, x0=1e-290),
+        lambda: certify(KernelSpec((1.0,), TailModel.parametric(1e-320, 2.0, 2.0, 0.0))),
+    ],
+    ids=["solve_fast_blocked", "certify_rescaled"],
+)
+def test_overflow_warns_nothing(call):
+    # overflow is an outcome that the stop rule reports, not a numpy warning;
+    # test_cli's simulate case covers both solvers on a one-step overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()
+
+
+def test_scaled_path_renormalises_a_tiny_history():
+    # |q| = 2 takes the q^n rescale; from x0 = 1e-300 the reduced history
+    # sinks below 2^-600 and is scaled back up, or it underflows and the run
+    # ends on a spurious overflow
+    k = KernelSpec((), TailModel.parametric(0.5, 2.0, 2.0, 0.0))
+    tiny = solve(k, 3000, x0=1e-300)
+    assert (len(tiny), tiny.truncated, tiny.overflow) == (1057, True, False)
+    assert 1.18e13 < tiny.values[-1] < 1.2e13
+    unit = solve(k, 3000)
+    assert (len(unit), unit.truncated, unit.overflow) == (51, True, False)
+    expected = 1e-300 * unit.values
+    assert np.all(np.abs(tiny.values[:51] - expected) <= 1e-15 * np.abs(expected))
 
 
 def test_scaling_equivariance():
