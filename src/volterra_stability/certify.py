@@ -126,15 +126,11 @@ def test_absolute_sum(kernel: KernelSpec) -> Certificate:
     return _na("AbsoluteSum", **_sum_witness(enc))
 
 
-def _tail_nonnegative(kernel: KernelSpec) -> bool:
-    t = kernel.tail
-    return t.q == 0.0 or (t.c > 0.0 and t.q > 0.0)
-
-
 def test_efp(kernel: KernelSpec) -> Certificate:
     """Renewal-theorem certificate: nonnegative aperiodic unit-mass kernel
     with infinite first moment is asymptotically stable."""
-    if any(v < 0.0 for v in kernel.prefix) or not _tail_nonnegative(kernel):
+    t = kernel.tail
+    if any(v < 0.0 for v in kernel.prefix) or not (t.q == 0.0 or (t.c > 0.0 and t.q > 0.0)):
         return _na("EFP", reason="negative terms")
     g = support_gcd(kernel)
     if g != 1:
@@ -291,7 +287,7 @@ def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
     if found.r_n > _MARGINAL_ROOT_SLACK:
         return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
     g = analysis.grid_points
-    theta, _, vals = _circle_modulus(analysis.kernel, n, g)
+    theta, z, vals = _circle_modulus(analysis.kernel, n, g)
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
@@ -312,8 +308,7 @@ def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
                 theta=float(theta[i]),
                 profile=[m0, float(m1), float(m2)],
             )
-        z = complex(np.exp(1j * theta[i]))
-        zeros.append({"theta": float(theta[i]), "re": z.real, "im": z.imag, "value": m0})
+        zeros.append({"theta": float(theta[i]), "re": float(z[i].real), "im": float(z[i].imag), "value": m0})
     return Certificate(STABLE, "MarginalStable", HEURISTIC, {"circle_zeros": zeros, "degree": n})
 
 
@@ -420,10 +415,5 @@ def report_to_dict(report: Report) -> dict:
         "attempts": report.attempts,
     }
     if report.empirical is not None:
-        out["empirical"] = {
-            "kind": report.empirical.kind,
-            "witness_index": report.empirical.witness_index,
-            "witness_value": report.empirical.witness_value,
-            "trajectory": report.trajectory_summary,
-        }
+        out["empirical"] = {**vars(report.empirical), "trajectory": report.trajectory_summary}
     return out

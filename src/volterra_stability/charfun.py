@@ -112,9 +112,9 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     cs = coeffs.astype(work)
     deriv = np.polyder(cs)
     z = roots.astype(work)
-    fz = np.polyval(cs, z)
-    active = np.flatnonzero(fz != 0)
     with np.errstate(all="ignore"):
+        fz = np.polyval(cs, z)
+        active = np.flatnonzero(fz != 0)
         for _ in range(8):
             if active.size == 0:
                 break
@@ -148,7 +148,8 @@ def pn_roots(kernel: KernelSpec, n: int) -> RootSet:
         raise NonConvergence(f"eigenvalue iteration failed for p_{n}") from e
     roots = _polish_roots(coeffs.astype(complex), raw.astype(complex))
     scale = max(1.0, float(np.max(np.abs(coeffs))))
-    residual = float(np.max(np.abs(np.polyval(coeffs, roots)))) / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
+        residual = float(np.max(np.abs(np.polyval(coeffs, roots)))) / scale
     if not math.isfinite(residual) or residual > _RESIDUAL_LIMIT:
         raise NonConvergence(f"residual {residual:.3e} above {_RESIDUAL_LIMIT:.0e} for p_{n}")
     r_n = float(np.max(np.abs(roots)))

@@ -91,14 +91,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv":
         _emit(trajectory_to_csv(traj), args.out)
     else:
-        payload = {
-            "kernel_id": traj.kernel_id,
-            "method": traj.method,
-            "x0": traj.x0,
-            "truncated": traj.truncated,
-            "overflow": traj.overflow,
-            "values": [float(v) for v in traj.values],
-        }
+        payload = {**vars(traj), "values": traj.values.tolist()}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -456,23 +456,14 @@ def radius_of_convergence(kernel: KernelSpec) -> float:
 
 def support_gcd(kernel: KernelSpec) -> int | None:
     """gcd of {n : a_n > 0}; None when no term is positive."""
-    g = 0
-    for i, v in enumerate(kernel.prefix):
-        if v > 0.0:
-            g = math.gcd(g, i + 1)
     t = kernel.tail
-    npre = len(kernel.prefix)
-    if t.c > 0.0 and t.q > 0.0:
-        # every index past the prefix is in the support
-        g = math.gcd(g, math.gcd(npre + 1, npre + 2))
-    elif t.q < 0.0:
-        if t.c > 0.0:
-            # positive at even indices only
-            g = math.gcd(g, 2)
-        else:
-            # positive at odd indices: two consecutive odd numbers are coprime
-            g = math.gcd(g, 1)
-    return g if g > 0 else None
+    # past the prefix a_n > 0 at the even n (c > 0 > q), at every n (c, q > 0),
+    # at the odd n (c, q < 0) or at no n: index sets of gcd 2, 1, 1 and none
+    g = 2 if t.c > 0.0 > t.q else int(t.q < 0.0 or (t.c > 0.0 and t.q > 0.0))
+    for i, v in enumerate(kernel.prefix, 1):
+        if v > 0.0:
+            g = math.gcd(g, i)
+    return g or None
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +474,9 @@ def kernel_from_dict(data: dict) -> KernelSpec:
     """Parse {"prefix": [...], "tail": {...}}; prefix[0] is a_1."""
     if not isinstance(data, dict):
         raise KernelFormatError("kernel spec must be a JSON object")
-    if "prefix" not in data:
-        raise KernelFormatError("missing field: prefix")
-    if "tail" not in data:
-        raise KernelFormatError("missing field: tail")
+    for name in ("prefix", "tail"):
+        if name not in data:
+            raise KernelFormatError(f"missing field: {name}")
     prefix = data["prefix"]
     if not isinstance(prefix, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in prefix):
         raise KernelFormatError("prefix must be an array of numbers")
@@ -510,11 +500,8 @@ def kernel_from_dict(data: dict) -> KernelSpec:
 
 
 def kernel_to_dict(kernel: KernelSpec) -> dict:
-    if kernel.tail.is_zero:
-        tail = {"kind": "zero"}
-    else:
-        t = kernel.tail
-        tail = {"kind": "parametric", "c": t.c, "q": t.q, "alpha": t.alpha, "beta": t.beta}
+    # a copy: vars() is the frozen tail's own __dict__
+    tail = {"kind": "zero"} if kernel.tail.is_zero else vars(kernel.tail).copy()
     return {"prefix": list(kernel.prefix), "tail": tail}
 
 

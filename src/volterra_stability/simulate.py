@@ -274,7 +274,7 @@ def classify(trajectory: Trajectory, thresholds: Thresholds | None = None) -> Em
 
     Overflow or a cutoff crossing decides Unbounded outright; short
     trajectories are Inconclusive; otherwise the trailing window decides
-    between Decaying, BoundedNonDecaying, and a still-descending Inconclusive.
+    between Decaying, BoundedNonDecaying, and Inconclusive (still moving).
     """
     th = thresholds or Thresholds()
     vals = np.abs(np.asarray(trajectory.values))
@@ -297,8 +297,9 @@ def classify(trajectory: Trajectory, thresholds: Thresholds | None = None) -> Em
         return EmpiricalVerdict(DECAYING, widx, float(trajectory.values[widx]))
     prev = vals[max(0, n - 2 * w) : n - w]
     pmax = float(np.max(prev)) if prev.size else wmax
-    if wmax < 0.9 * pmax:
-        # still descending faster than 10% per window: not settled yet
+    if wmax < 0.9 * pmax or wmax > (1.0 + w / (2 * n)) * pmax:
+        # still descending faster than 10% per window, or rising by more than
+        # half of what linear growth adds over one window: not settled yet
         return EmpiricalVerdict(INCONCLUSIVE, widx, float(trajectory.values[widx]))
     return EmpiricalVerdict(BOUNDED_NON_DECAYING, widx, float(trajectory.values[widx]))
 

@@ -362,6 +362,13 @@ def test_marginal_double_circle_zero_not_applicable():
     assert cert.witness["profile"] == pytest.approx([0.0, 2.353e-6, 9.412e-6], rel=1e-3, abs=1e-18)
 
 
+def test_marginal_root_failure_not_applicable():
+    # p_200's roots near 1e50 overflow the residual
+    cert = check_marginal_stable(KernelSpec((0.0, -1e100), TailModel.zero()))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness["reason"] == "residual nan above 1e-08 for p_200"
+
+
 def _circle_pair(center):
     """Zero tail whose s_n has its circle zeros at the angles +-center +- 0.004:
     on a 4,096-point grid, pairs 6 grid steps apart."""
@@ -382,6 +389,12 @@ def test_marginal_close_circle_zeros_not_isolated(center):
 
 # ---------------------------------------------------------------------------
 # pipeline
+
+
+def test_certify_linear_rise_inconclusive():
+    # x_n = n + 1 is unbounded; the marginal heuristic declines (double zero at z = 1)
+    rep = certify(KernelSpec((2.0, -1.0), TailModel.zero()))
+    assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == ("inconclusive", "Empirical", "empirical")
 
 
 def test_certify_renewal_stops_at_efp():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,11 @@ def test_roots_validate_degree():
 def test_roots_nonconvergence_on_overflowing_coefficients():
     with pytest.raises(NonConvergence):
         pn_roots(geometric_null_kernel(3.0), 700)
+    # roots near 1e50 overflow the residual: a NonConvergence, not a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="residual nan"):
+            pn_roots(KernelSpec((0.0, -1e100), TailModel.zero()), 10)
 
 
 def test_root_reexpansion_matches_coefficients(rng):
@@ -271,6 +277,12 @@ def test_e_bounds_domain_error():
         e_bounds(_root_set(0.99))
 
 
+def test_e_bounds_without_outside_moduli():
+    # a hand-built RootSet whose r_n no root attains: no modulus lies outside the circle
+    eb = e_bounds(RootSet(2, (0.5 + 0j, 0.25 + 0j), 0.0, 1.5))
+    assert eb.kind == "not_applicable" and math.isnan(eb.value) and math.isnan(eb.rho)
+
+
 def test_delta_dominates_e_bounds(rng):
     hits = 0
     for _ in range(1000):
@@ -311,6 +323,8 @@ def test_circle_min_alternating_cubic_near_pi():
 def test_circle_min_validates_grid():
     with pytest.raises(ValueError):
         circle_min_modulus(renewal_kernel(), 10, 8)
+    with pytest.raises(ValueError):
+        circle_min_modulus(renewal_kernel(), 0, 64)
 
 
 def test_sn_pn_coefficient_layout():

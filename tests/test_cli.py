@@ -7,7 +7,13 @@ from volterra_stability import KernelSpec, TailModel, dumps_kernel, pn_roots
 from volterra_stability.cli import main
 from volterra_stability.fixtures import fixture_names, fixture_text, load_fixture
 
-from conftest import alternating_cubic_kernel, geometric_null_kernel, renewal_kernel, rouche_unstable_pair_kernel
+from conftest import (
+    alternating_cubic_kernel,
+    geometric_null_kernel,
+    paper_kernels,
+    renewal_kernel,
+    rouche_unstable_pair_kernel,
+)
 
 
 def _write_kernel(tmp_path, kernel, name="kernel.json"):
@@ -212,6 +218,24 @@ def test_simulate_overflow_writes_no_warning(tmp_path, capsys, fast):
     assert out.splitlines() == ["n,x", "0,1.0000000000000001e-290", "1,10000000000.000002"]
 
 
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["roots", "--n", "10"], 3, "", "root finding failed: residual nan above 1e-08 for p_10\n"),
+        (["certify"], 0, "unstable (RoucheUnstable, rigorous)\n", ""),
+    ],
+    ids=["roots", "certify"],
+)
+def test_overflowing_roots_write_no_warning(tmp_path, capsys, argv, code, out, err):
+    # p_n's roots near 1e50 overflow the residual: a NonConvergence, not a numpy warning
+    path = _write_kernel(tmp_path, KernelSpec((0.0, -1e100), TailModel.zero()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--kernel", path]) == code
+    got_out, got_err = capsys.readouterr()
+    assert got_out.startswith(out) and got_err == err
+
+
 def test_unknown_flag_exit_two(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["simulate", "--bogus"])
@@ -228,6 +252,7 @@ def test_fixture_files_parse():
     for name in fixture_names():
         k = load_fixture(name)
         assert json.loads(fixture_text(name))["prefix"] == list(k.prefix)
+        assert k == paper_kernels()[name]
     with pytest.raises(KeyError):
         fixture_text("missing")
 

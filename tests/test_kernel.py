@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from volterra_stability import (
     KernelFormatError,
     KernelSpec,
+    SumEnclosure,
     TailModel,
     dumps_kernel,
     fixture_names,
@@ -112,6 +113,13 @@ def test_series_modes_validated():
         series_sum(renewal_kernel(), "bogus")
     with pytest.raises(ValueError):
         series_sum(renewal_kernel(), "plain", 0.0)
+    with pytest.raises(ValueError):
+        power_series_value(KernelSpec((2.0,), TailModel.zero()), 0.25, 0.0)
+
+
+def test_enclosure_rejects_reversed_bounds():
+    with pytest.raises(ValueError):
+        SumEnclosure.finite(1.0, 0.0)
 
 
 def test_series_alternating_cubic_absolute_is_one():
@@ -346,6 +354,9 @@ def test_power_series_value_renewal_against_mpmath():
 
 def test_power_series_outside_radius_unknown():
     assert power_series_value(small_radius_unstable_kernel(2.0), 0.75).status == "unknown"
+    # |t| lies below R = 1/3, but the bound |fl(3t)| (1 + eps) on the ratio rounds to 1
+    t = math.nextafter(1.0 / 3.0, 0.0)
+    assert power_series_value(KernelSpec((), TailModel.parametric(1.0, 3.0)), t).status == "unknown"
 
 
 def _value_upper_bound_ref(kernel, grid):
@@ -448,6 +459,9 @@ def test_parse_normalizes_zero_scale():
         ({"prefix": [1.0], "tail": {"kind": "parametric", "c": 1.0, "q": 1.0, "alpha": 0.0}}, "beta"),
         ({"prefix": ["x"], "tail": {"kind": "zero"}}, "prefix"),
         ({"prefix": [1.0], "tail": {"kind": "parametric", "c": float("nan"), "q": 1.0, "alpha": 0.0, "beta": 0.0}}, "c"),
+        ([1], "object"),
+        ({"prefix": [], "tail": {}}, "kind"),
+        ({"prefix": [], "tail": {"kind": "parametric", "c": "1", "q": 0.5, "alpha": 0.0, "beta": 0.0}}, "tail.c"),
     ],
 )
 def test_parse_rejects_bad_fields(payload, needle):

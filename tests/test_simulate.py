@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import volterra_stability
 from volterra_stability import (
     BOUNDED_NON_DECAYING,
     DECAYING,
@@ -294,6 +299,10 @@ def test_classify_decaying():
 def test_classify_short_inconclusive():
     v = classify(solve(geometric_half_kernel(), 50))
     assert v.kind == INCONCLUSIVE
+    empty = solve(geometric_half_kernel(), 50)
+    empty.values = empty.values[:0]
+    v = classify(empty)
+    assert (v.kind, v.witness_index) == (INCONCLUSIVE, 0) and math.isnan(v.witness_value)
 
 
 def test_classify_short_but_exploding_is_unbounded():
@@ -308,6 +317,17 @@ def test_classify_descending_trend_inconclusive():
     fake = solve(KernelSpec((0.5,), TailModel.zero()), 999)
     fake.values = vals
     assert classify(fake).kind == INCONCLUSIVE
+
+
+def test_classify_linear_rise_inconclusive():
+    # x_n = n + 1: the last window's maximum is 1.0101 times the one before,
+    # where the cut is 1 + w / (2n) = 1.005
+    v = classify(solve(KernelSpec((2.0, -1.0), TailModel.zero()), 10_000))
+    assert v.kind == INCONCLUSIVE
+    # logarithmic growth reads about 1 + w / (n ln n) = 1.001 and stays bounded
+    slow = solve(KernelSpec((0.5,), TailModel.zero()), 100)
+    slow.values = np.log(np.arange(2.0, 10_003.0))
+    assert classify(slow).kind == BOUNDED_NON_DECAYING
 
 
 def test_thresholds_validation():
@@ -367,3 +387,21 @@ def test_huge_q_does_not_raise(run, kernel):
     traj = run(kernel, 50)
     assert traj.values[0] == 1.0
     assert classify(traj).kind == UNBOUNDED
+
+
+def test_solve_bits_do_not_depend_on_blas_threads():
+    # np.dot over more than 10,000 elements gives different bits under one and
+    # two OpenBLAS threads; _inner_dot's fsum over fixed chunks keeps solve's
+    # bits the same
+    src = str(Path(volterra_stability.__file__).resolve().parent.parent)
+    code = (
+        "import hashlib, volterra_stability as vs; "
+        "ks = [vs.load_fixture('renewal'), vs.load_fixture('geometric_null'), "
+        "vs.KernelSpec((0.3, -0.2), vs.TailModel.parametric(0.4, 0.9, 1.0, 0.0))]; "
+        "print([hashlib.sha256(vs.solve(k, 2**14).values.tobytes()).hexdigest() for k in ks])"
+    )
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+    assert out[0] == out[1]
