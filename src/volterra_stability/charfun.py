@@ -196,7 +196,8 @@ def maximize_delta(roots: RootSet) -> DeltaMax:
     kinks = sorted({1.0 / m for m in moduli if m > 1.0 and lo < 1.0 / m < hi})
 
     def delta(rho: float) -> float:
-        return float(np.prod(np.abs(1.0 - rho * moduli)))
+        with np.errstate(over="ignore"):  # inf is the right value for huge moduli
+            return float(np.prod(np.abs(1.0 - rho * moduli)))
 
     best_rho, best_val = lo, delta(lo)
     for rho in kinks + [hi]:
@@ -220,13 +221,14 @@ def e_bounds(roots: RootSet) -> EBound:
     outside = int(np.sum(m > 1.0))
     if outside == 0:
         return EBound("not_applicable", math.nan, math.nan)
-    if outside == n:
-        return EBound("E1", float(abs(1.0 - m[-1]) ** n), 1.0)
-    nxt = float(m[outside])
-    if abs(nxt - 1.0) <= _UNIT_TOL:
-        rho1 = 2.0 / (float(m[outside - 1]) + 1.0)
-        return EBound("E3", float(abs(1.0 - rho1 * m[outside - 1]) ** n), rho1)
-    return EBound("E2", float(min(abs(1.0 - m[outside - 1]), abs(1.0 - nxt)) ** n), 1.0)
+    with np.errstate(over="ignore"):  # inf is the right value for huge moduli
+        if outside == n:
+            return EBound("E1", float(abs(1.0 - m[-1]) ** n), 1.0)
+        nxt = float(m[outside])
+        if abs(nxt - 1.0) <= _UNIT_TOL:
+            rho1 = 2.0 / (float(m[outside - 1]) + 1.0)
+            return EBound("E3", float(abs(1.0 - rho1 * m[outside - 1]) ** n), rho1)
+        return EBound("E2", float(min(abs(1.0 - m[outside - 1]), abs(1.0 - nxt)) ** n), 1.0)
 
 
 def _circle_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

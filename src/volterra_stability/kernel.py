@@ -3,9 +3,12 @@
 A kernel is a finite prefix a_1..a_N plus an analytic tail model
 ``a_n = c * q**n / (n**alpha * (n+1)**beta)`` for n > N.  That family is rich
 enough to hold every sequence this library ships with while still admitting
-closed-form or bracketed tail sums, which is what the stability certificates
-need: an interval that provably contains the true series value, or a proof of
-divergence, never a bare floating-point estimate.
+certified tail sums, which is what the stability certificates need: an
+interval that provably contains the true series value, or a proof of
+divergence, never a bare floating-point estimate.  A tail sums in closed form
+(geometric, telescoping), by Euler-Maclaurin with its remainder bound when its
+ratio is 1, and otherwise term by term up to a bracketing remainder
+(alternating series, geometric domination).
 """
 
 from __future__ import annotations
@@ -231,20 +234,18 @@ def _tail_enclosure(
         v = c / start
         return SumEnclosure.finite(v, v) if Fraction(v) * start == Fraction(c) else _pad(v, v, 0.0)
     if aq < 1.0 and alpha == 0.0 and beta == 0.0:
-        # geometric: Sum_{i>=m} q^i = q^m / (1-q)
+        # geometric: Sum_{i>=m} q^i = q^m / (1-q); a q^m that underflows is off
+        # by up to ulp(0), which the factors after it scale by at most this much
         v = c * (q ** start / (1.0 - q) if weight == 0 else _geom_first(q, start))
-        return _pad(v, v, 0.0)
+        return _pad(v, v, abs(c) * (2 * start + 2) * math.ulp(0.0) / (1.0 - aq) ** 2)
+
+    if q == 1.0:
+        # completely monotone terms: at most 64 of them, then Euler-Maclaurin
+        return _euler_maclaurin(c, alpha, beta, start, weight, precision)
 
     # Bracketed cases: each supplies log R(m), a bound on the rest past m.
     log_c = math.log(abs(c))
-    if q == 1.0:
-        # integral test: term_i <= |c| i^-s, so R(m) = |c| m^(1-s) / (s-1)
-        log_s1 = math.log(s - 1.0)
-
-        def log_rem(m):
-            return log_c - (s - 1.0) * math.log(m) - log_s1
-
-    elif q == -1.0:
+    if q == -1.0:
         # alternating: |term_i| decreases for i > (weight - alpha)/s, where
         # d/di log|term_i| < 0; from there on the rest past m is at most
         # |term_{m+1}|, and before it no bound is claimed
@@ -268,13 +269,117 @@ def _tail_enclosure(
     return _bracketed(c, q, alpha, beta, start, weight, precision, log_rem)
 
 
-def _stop_index(log_rem, first: int, log_target: float, last: int) -> int | None:
-    """Smallest m in [first, last] with log_rem(m) <= log_target, else None.
+# B_2j for j = 1..17, and _EM_COEF[j - 1] = B_2j / (2j)!
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798),
+    (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+    (8615841276005, 14322), (-7709321041217, 510), (2577687858367, 6),
+)
+_EM_COEF = tuple(float(Fraction(*b) / math.factorial(2 * j)) for j, b in enumerate(_BERNOULLI, 1))
+# most terms summed one by one ahead of the Euler-Maclaurin formula
+_EM_HEAD = 64
 
-    log_rem is non-increasing, so the test is False and then True over the range.
+
+def _euler_maclaurin(c: float, alpha: float, beta: float, start: int, weight: int, precision: float) -> SumEnclosure:
+    """Sum_{i>=start} i^weight c / (i^alpha (i+1)^beta) for s = alpha + beta - weight > 1.
+
+    The terms start..N-1 are summed one by one, N - start <= 64.  Past N the
+    summand is |c| f with f(x) = x^-a (x+1)^-b, a = alpha - weight.  f is
+    completely monotone, so by Euler-Maclaurin (Olver, Asymptotics and Special
+    Functions, ch. 8)
+        Sum_{i>=N} f(i) = int_N^inf f + f(N)/2 + Sum_{j<=p} B_2j/(2j)! |f^(2j-1)(N)| + R
+    with R between 0 and the first omitted term (j = p + 1).  When a < 0
+    (weight 1 and alpha < 1, so beta > 1), x^-a (x+1)^-beta is
+    x^-alpha (x+1)^(1-beta) minus x^-alpha (x+1)^-beta, and each part takes the
+    formula.  p, then N, are the smallest that bring the omitted terms to
+    0.75 * precision.  Unknown when p <= 16 does not, or when the rounding
+    bound on each side exceeds precision / 16.
+    """
+    parts = ((alpha - weight, beta, 1.0),) if alpha >= weight else ((alpha, beta - 1.0, 1.0), (alpha, beta, -1.0))
+    mag = abs(c)
+    # |c| x^-a y^-b, off by at most (|c| + 1) ulp(0) where a power or the product underflows
+    lost = (mag + 1.0) * math.ulp(0.0)
+
+    def scale(x, y, a, b):
+        return mag * x ** -a * y ** -b
+
+    def rem(n, p):
+        # the first omitted term, summed over the parts
+        return sum(abs(_EM_COEF[p]) * _leibniz(a, b, n, 2 * p + 1) * scale(n, n + 1, a, b) for a, b, _ in parts)
+
+    last = start + _EM_HEAD
+    p = next((p for p in range(len(_EM_COEF)) if rem(last, p) <= 0.75 * precision), None)
+    if p is None:
+        return SumEnclosure.unknown()
+    n = _stop_index(lambda m: rem(m, p), start, 0.75 * precision, last) or last
+    i = np.arange(start, n, dtype=float)
+    with np.errstate(over="ignore"):
+        head = _tail_terms(mag, 1.0, alpha, beta, i)
+        if weight:
+            head *= i
+        dirt = 4.0 * _EPS * float(np.sum(head))
+    vals = head.tolist()
+    r_lo = r_hi = 0.0
+    for a, b, sign in parts:
+        fn, f0 = scale(n, n + 1, a, b), scale(n + 1, n + 1, a, b)
+        weights, rest = _em_integral(a, b, n)
+        # (scale, weight, rounding of their product in eps): the first omitted
+        # term, the corrections j = p..1, f(N)/2 and int_N^inf f = f0 Sum_k w_k
+        terms = [(fn, _EM_COEF[j] * _leibniz(a, b, n, 2 * j + 1), 4 * j + 10) for j in range(p, -1, -1)]
+        terms += [(fn, 0.5, 4)] + [(f0, w, 2 * k + 8) for k, w in enumerate(weights)]
+        dirt += sum(ops * _EPS * abs(f * w) + lost * abs(w) for f, w, ops in terms) + (f0 + lost) * rest
+        r, *part = (sign * f * w for f, w, _ in terms)
+        vals += part
+        r_lo, r_hi = r_lo + min(r, 0.0), r_hi + max(r, 0.0)
+    # the remainder takes 3/4 of the precision, the rounding on each side 1/16
+    if not 16.0 * dirt <= precision:
+        return SumEnclosure.unknown()
+    try:
+        total = math.fsum(vals)
+    except OverflowError:  # a partial sum past float range
+        return SumEnclosure.unknown()
+    lo, hi = total + r_lo, total + r_hi
+    return _pad(-hi, -lo, dirt) if c < 0.0 else _pad(lo, hi, dirt)
+
+
+def _leibniz(a: float, b: float, n: int, k: int) -> float:
+    """|f^(k)(n)| / f(n) for f(x) = x^-a (x+1)^-b, a, b >= 0: by Leibniz,
+    Sum_i C(k,i) (a)_i (b)_(k-i) n^-i (n+1)^(i-k), every term >= 0."""
+    ra, rb = [1.0], [1.0]
+    for j in range(k):
+        ra.append(ra[-1] * (a + j) / n)
+        rb.append(rb[-1] * (b + j) / (n + 1))
+    return sum(math.comb(k, i) * ra[i] * rb[k - i] for i in range(k + 1))
+
+
+def _em_integral(a: float, b: float, n: int) -> tuple[list[float], float]:
+    """(w_k, rest) with int_n^inf x^-a (x+1)^-b dx = (n+1)^-(a+b) Sum_k w_k,
+    w_k = (a)_k/k! (n+1)^(1-k) / (a+b+k-1), all > 0, and rest >= Sum of the
+    w_k past the last one returned, below eps times their sum; rest is inf
+    if their sum leaves float range first.
+    """
+    sm1 = math.fsum((a, b, -1.0))
+    weights, h, total, k = [], float(n + 1), 0.0, 0
+    while math.isfinite(total):
+        w = h / (sm1 + k)
+        weights.append(w)
+        total += w
+        # w_(j+1)/w_j <= (a+j)/((j+1)(n+1)) <= rho for every j >= k
+        rho = max(a + k, k + 1.0) / ((k + 1) * (n + 1))
+        if rho < 1.0 and w * rho <= _EPS * total * (1.0 - rho):
+            return weights, w * rho / (1.0 - rho)
+        h *= (a + k) / ((k + 1) * (n + 1))
+        k += 1
+    return weights, math.inf
+
+
+def _stop_index(bound, first: int, target: float, last: int) -> int | None:
+    """Smallest m in [first, last] with bound(m) <= target, else None.
+
+    bound is non-increasing, so the test is False and then True over the range.
     """
     ms = range(first, last + 1)
-    i = bisect.bisect_left(ms, True, key=lambda m: log_rem(m) <= log_target)
+    i = bisect.bisect_left(ms, True, key=lambda m: bound(m) <= target)
     return ms[i] if i < len(ms) else None
 
 

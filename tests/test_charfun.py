@@ -283,6 +283,18 @@ def test_e_bounds_without_outside_moduli():
     assert eb.kind == "not_applicable" and math.isnan(eb.value) and math.isnan(eb.rho)
 
 
+def test_huge_moduli_give_inf_without_warning():
+    # (1e20 - 1)^16 is beyond float range: the bounds are inf, and no numpy
+    # overflow warning leaks (the suite turns RuntimeWarning into an error)
+    rs = RootSet(16, (1e20 + 0j,) * 16, 0.0, 1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eb = e_bounds(rs)
+        dm = maximize_delta(rs)
+    assert eb.kind == "E1" and eb.value == math.inf
+    assert dm.value == math.inf
+
+
 def test_delta_dominates_e_bounds(rng):
     hits = 0
     for _ in range(1000):

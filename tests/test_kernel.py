@@ -182,13 +182,59 @@ def test_tail_abs_rejects_negative_index():
 
 
 @pytest.mark.parametrize("q", [1.0, -1.0])
-def test_series_at_unit_ratio_slow_decay_is_unknown(q):
-    # the stop index for a tail like 1/n^(1+1e-7) is far past the term budget
+def test_series_at_unit_ratio_slow_decay_by_euler_maclaurin(q):
+    # a tail like 1/n^(1+1e-7), about 1e7 in all, takes the Euler-Maclaurin
+    # branch wherever its ratio is 1
     k = KernelSpec((), TailModel.parametric(1.0, q, 1.0000001, 0.0))
-    assert series_sum(k, "plain").status == "unknown"
+    cases = [(series_sum(k, "absolute", 1e-6), 1), (tail_abs_sum(k, 3, 1e-6), 4)]
+    if q == 1.0:
+        cases.append((series_sum(k, "plain", 1e-6), 1))
+    else:
+        # the alternating remainder at 1e-12 needs far more terms than the budget
+        assert series_sum(k, "plain").status == "unknown"
+    with mpmath.workdps(50):
+        for enc, m in cases:
+            assert enc.is_finite and enc.width <= 1e-6
+            assert _holds(enc, mpmath.zeta(mpmath.mpf(1.0000001), m))
+    # one ulp of a sum near 1e7 is 1.9e-9: no enclosure is 1e-12 wide
     assert series_sum(k, "absolute").status == "unknown"
-    assert tail_abs_sum(k, 3).status == "unknown"
     assert series_sum(k, "first_moment_abs").is_divergent
+
+
+def test_unit_ratio_sums_take_at_most_64_terms(monkeypatch):
+    # every q = 1 sum, after the fold of |q| = 1 in the absolute modes, sums
+    # at most 64 terms one by one ahead of its Euler-Maclaurin formula; on the
+    # nine fixtures and one kernel of each q = -1 and edge class of the
+    # kernel_sweep benchmark
+    kernels = [load_fixture(name) for name in fixture_names()] + [
+        KernelSpec((), TailModel.parametric(1.5 / (math.pi**2 / 6.0 - 1.0), -1.0, 2.0, 1.0)),
+        KernelSpec((), TailModel.parametric(1.0 / 1.2020569031595942, -1.0, 3.0, 0.0)),
+        KernelSpec((), TailModel.parametric(90.0 / math.pi**4, -1.0, 4.0, 0.0)),
+        KernelSpec((), TailModel.parametric(1.3, 1.0, 1.0 + 5e-8, 0.0)),
+        KernelSpec((1.2e308, 1.5e308), TailModel.zero()),
+    ]
+    sizes = []
+    tail_terms = kernel_mod._tail_terms
+
+    def counted(c, q, alpha, beta, i):
+        if q == 1.0:
+            sizes.append(i.size)
+        return tail_terms(c, q, alpha, beta, i)
+
+    monkeypatch.setattr(kernel_mod, "_tail_terms", counted)
+    for k in kernels:
+        for mode in _MODES:
+            for precision in (1e-6, 1e-9, 1e-12):
+                series_sum(k, mode, precision)
+        for n in range(33):
+            tail_abs_sum(k, n)
+    assert sizes and max(sizes) <= 64
+
+
+def test_unit_ratio_sum_beyond_float_range_is_unknown():
+    # 1.7e308 (1/n^1.5 from n = 2 on) leaves float range inside math.fsum
+    k = KernelSpec((), TailModel.parametric(1.7e308, 1.0, 1.5))
+    assert tail_abs_sum(k, 1, 1e306).status == "unknown"
 
 
 def test_prefix_beyond_float_range_is_unknown():
@@ -542,6 +588,7 @@ _S_UP_TO_ONE = (1e-3, 0.3, 1.0 - 1e-7, 1.0)
 # mode -> (weight, absolute)
 _MODES = {"plain": (0, False), "absolute": (0, True), "first_moment": (1, False), "first_moment_abs": (1, True)}
 _EDGE_Q = (1.0 - 1e-3, -(1.0 - 1e-3))
+_EPS = 2.0**-52
 
 
 def _tail_ref(q, alpha, beta, weight, m):
@@ -614,12 +661,17 @@ def _holds(enc, value) -> bool:
     return mpmath.mpf(enc.lo) - slack <= value <= mpmath.mpf(enc.hi) + slack
 
 
+def _tight(enc, precision) -> bool:
+    """At most precision wide beyond the 4 eps relative pad on each side."""
+    return enc.width <= precision + 8 * _EPS * max(abs(enc.lo), abs(enc.hi))
+
+
 @st.composite
 def _tail_case(draw, branch, modes=tuple(_MODES)):
     """(kernel, mode) with mode in ``modes``, whose tail enclosure takes ``branch``."""
     prefix = tuple(draw(st.lists(st.floats(-4.0, 4.0), max_size=3)))
-    # subnormal, tiny and ordinary scales
-    c = draw(st.sampled_from([5e-324, 3e-310, 1e-200, 1e-9, 1.0, 40.0])) * draw(st.sampled_from([1.0, -1.0, 0.7]))
+    # subnormal, tiny, ordinary and huge scales
+    c = draw(st.sampled_from([5e-324, 3e-310, 1e-200, 1e-9, 1.0, 40.0, 1e300])) * draw(st.sampled_from([1.0, -1.0, 0.7]))
     if branch == "closed_geometric":
         q = draw(st.sampled_from(_EDGE_Q) | st.floats(-0.99, 0.99).filter(bool))
         return KernelSpec(prefix, TailModel.parametric(c, q)), draw(st.sampled_from(modes))
@@ -645,6 +697,10 @@ def _tail_case(draw, branch, modes=tuple(_MODES)):
     # the polylog closed form needs beta = 0 where |q| is near 1 but not 1
     beta = 0.0 if q in _EDGE_Q else min(draw(st.sampled_from([0.0, 0.5, 1.0])), s + weight)
     alpha = s + weight - beta
+    if branch == "integral" and weight and draw(st.booleans()):
+        # alpha < weight: the Euler-Maclaurin sum splits the summand in two
+        alpha = draw(st.sampled_from([0.0, 0.5, 0.99]))
+        beta = s + weight - alpha
     assume(not (alpha == beta == 1.0 and weight == 0))
     return KernelSpec(prefix, TailModel.parametric(c, q, alpha, beta)), mode
 
@@ -657,9 +713,12 @@ _PRECISIONS = st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12])
 @given(data=st.data())
 def test_series_sum_contains_mpmath_value(branch, data):
     kernel, mode = data.draw(_tail_case(branch))
-    enc = series_sum(kernel, mode, data.draw(_PRECISIONS))
+    precision = data.draw(_PRECISIONS)
+    enc = series_sum(kernel, mode, precision)
     if enc.is_finite:
         assert _holds(enc, _ref_value(kernel, *_MODES[mode]))
+        # the Euler-Maclaurin sums of the q = 1 tails
+        assert branch != "integral" or _tight(enc, precision)
 
 
 @pytest.mark.parametrize("branch", ["closed_geometric", "telescoping", "integral", "geometric_dominated"])
@@ -668,9 +727,11 @@ def test_series_sum_contains_mpmath_value(branch, data):
 def test_tail_abs_sum_contains_mpmath_value(branch, data):
     kernel, _ = data.draw(_tail_case(branch, ("absolute",)))
     n = data.draw(st.integers(0, 5))
-    enc = tail_abs_sum(kernel, n, data.draw(_PRECISIONS))
+    precision = data.draw(_PRECISIONS)
+    enc = tail_abs_sum(kernel, n, precision)
     if enc.is_finite:
         assert _holds(enc, _ref_value(kernel, 0, True, n=n))
+        assert branch != "integral" or _tight(enc, precision)
 
 
 @pytest.mark.parametrize("branch", ["closed_geometric", "geometric_dominated"])
@@ -686,6 +747,18 @@ def test_power_series_value_contains_mpmath_value(branch, data):
     enc = power_series_value(kernel, t)
     if enc.is_finite:
         assert _holds(enc, _ref_value(kernel, 0, False, t=t))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("s", [1.05, 2.0, 6.0])
+def test_first_moment_with_growing_factor_contains_mpmath_value(alpha, s):
+    # n * a_n = n^(1-alpha) (n+1)^-beta: the Euler-Maclaurin sum splits it
+    # into two completely monotone parts
+    k = KernelSpec((), TailModel.parametric(1.0, 1.0, alpha, s + 1.0 - alpha))
+    value = _ref_value(k, 1, False)
+    for precision in (1e-6, 1e-12):
+        enc = series_sum(k, "first_moment", precision)
+        assert enc.is_finite and _holds(enc, value) and _tight(enc, precision)
 
 
 def test_power_series_value_covers_rounded_ratio():
