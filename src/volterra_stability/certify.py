@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charfun import (
+    _MAX_DEGREE,
     NonConvergence,
     RootSet,
     _circle_modulus,
@@ -40,6 +41,7 @@ from .kernel import (
     tail_abs_sum,
 )
 from .simulate import (
+    _MAX_STEPS,
     BOUNDED_NON_DECAYING,
     DECAYING,
     INCONCLUSIVE,
@@ -47,7 +49,7 @@ from .simulate import (
     EmpiricalVerdict,
     Trajectory,
     classify,
-    solve,
+    solve_fast,
 )
 
 __all__ = [
@@ -86,6 +88,8 @@ _AXIS_PRECISION = 1e-10
 # before the marginal heuristic gives up (zeros of s_n inside 1 - 1e-6)
 _MARGINAL_ROOT_SLACK = 1.0 / (1.0 - 1e-6)
 _CIRCLE_NEAR_ZERO = 0.05
+# most grid points of the real-axis and circle scans
+_MAX_GRID_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,12 @@ class _Analysis:
     def axis(self) -> Certificate:
         return test_real_axis_root(self.kernel, self.grid_points)
 
+    @functools.cached_property
+    def tail_divergent(self) -> bool:
+        """L_n = Sum_{i>n} |a_i| is divergent at every n: R < 1 means c != 0 and
+        |q| > 1.  Neither Rouche criterion can hold, so they need no roots."""
+        return radius_of_convergence(self.kernel) < 1.0
+
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
@@ -218,6 +228,8 @@ def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
 
 
 def _rouche_stable(analysis: _Analysis, n: int) -> Certificate:
+    if analysis.tail_divergent:
+        return _na("RoucheStable", tail_status="divergent", n=n)
     roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
         return _na("RoucheStable", reason=str(roots), n=n)
@@ -242,6 +254,8 @@ def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
 
 
 def _rouche_unstable(analysis: _Analysis, n: int) -> Certificate:
+    if analysis.tail_divergent:
+        return _na("RoucheUnstable", tail_status="divergent", n=n)
     roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
         return _na("RoucheUnstable", reason=str(roots), n=n)
@@ -354,13 +368,24 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     """Run the criteria in fixed order, stop at the first rigorous hit, and
     fall back to trajectory classification when only heuristics (or nothing)
     apply.  A heuristic verdict contradicted by an Unbounded trajectory is
-    downgraded to inconclusive with both records kept."""
+    downgraded to inconclusive with both records kept.
+
+    The fallback trajectory comes from ``solve_fast`` (same contract as
+    ``solve``, which it calls itself when R < 1).  When R < 1 the Rouche
+    criteria decline without computing any roots: L_n is divergent at every n.
+    """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    if max_degree > _MAX_DEGREE:
+        raise ValueError(f"max_degree must be <= {_MAX_DEGREE}")
     if steps < 100:
         raise ValueError("steps must be >= 100")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be <= {_MAX_STEPS}")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if grid_points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be <= {_MAX_GRID_POINTS}")
     attempts: list[dict] = []
     analysis = _Analysis(kernel, grid_points)
 
@@ -387,7 +412,7 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     else:
         cert = _marginal_stable(analysis, max(200, max_degree))
         record(cert, {})
-        traj = solve(kernel, steps)
+        traj = solve_fast(kernel, steps)
         emp, summary = classify(traj), _summarize(traj)
 
     if not cert.fired:

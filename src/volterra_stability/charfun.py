@@ -34,6 +34,8 @@ __all__ = [
 _RESIDUAL_LIMIT = 1e-8
 _GOLDEN_TOL = 1e-12
 _UNIT_TOL = 1e-9  # |z| counts as on the unit circle within this
+# highest degree pn_roots takes: its companion matrix has n^2 entries
+_MAX_DEGREE = 2000
 
 
 class NonConvergence(RuntimeError):
@@ -139,6 +141,8 @@ def pn_roots(kernel: KernelSpec, n: int) -> RootSet:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _MAX_DEGREE:
+        raise ValueError(f"n must be <= {_MAX_DEGREE}")
     coeffs = pn_coefficients(kernel, n)
     if not np.all(np.isfinite(coeffs)):
         raise NonConvergence(f"p_{n} coefficients exceed float range")

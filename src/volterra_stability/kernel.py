@@ -225,8 +225,9 @@ def _tail_enclosure(
     if c == 0.0 or q == 0.0:
         return _ZERO
     aq = abs(q)
-    s = alpha + beta - weight
-    if aq > 1.0 or (q == 1.0 and s <= 1.0) or (q == -1.0 and s <= 0.0):
+    # fsum rounds once, so s and the q = 1 test carry the exact sign
+    s = math.fsum((alpha, beta, -weight))
+    if aq > 1.0 or (q == 1.0 and math.fsum((alpha, beta, -weight, -1.0)) <= 0.0) or (q == -1.0 and s <= 0.0):
         # |terms| grow, sum like i^-s with s <= 1, or do not tend to zero
         return SumEnclosure.divergent()
     if q == 1.0 and alpha == 1.0 and beta == 1.0 and weight == 0:

@@ -52,6 +52,8 @@ _DOT_CHUNK = 8192
 # rescale the reduced trajectory when it drifts this deep into the exponent range
 _RENORM_LIMIT = 2.0 ** -600
 _RENORM_FACTOR = 2.0 ** 600
+# most steps either solver runs: 2^24 values take 128 MiB per array
+_MAX_STEPS = 2**24
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,8 @@ def _limit(steps: int, x0: float, thresholds: Thresholds | None) -> float:
     """Check the arguments both solvers share; return the stop limit."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be <= {_MAX_STEPS}")
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     return 10.0 * (thresholds or Thresholds()).unbounded_cutoff

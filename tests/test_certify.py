@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -25,7 +26,9 @@ from volterra_stability import (
     power_series_value,
     radius_of_convergence,
     report_to_dict,
+    series_sum,
     solve,
+    solve_fast,
     term,
     test_absolute_sum as check_absolute_sum,
     test_efp as check_efp,
@@ -95,6 +98,18 @@ def test_efp_negative_terms():
     cert = check_efp(geometric_null_kernel())
     assert cert.verdict == NOT_APPLICABLE
     assert cert.witness["reason"] == "negative terms"
+
+
+def test_efp_unit_mass_finite_moment_of_rounded_exponent():
+    # a_n = 0.5 / (n^2 (n+1)^(2^-60)) past a_1, total mass 1: the first moment
+    # converges (its exponent is 1 + 2^-60), so x_n -> 1/mean != 0 and EFP
+    # has no divergent moment to certify asymptotic stability with
+    t = 0.5 * (math.pi**2 / 6.0 - 1.0)
+    k = KernelSpec((1.0 - t,), TailModel.parametric(0.5, 1.0, 2.0, 2.0**-60))
+    assert check_efp(k).verdict == NOT_APPLICABLE
+    rep = certify(k)
+    assert (rep.final_verdict, rep.final_criterion) != (ASYMPTOTICALLY_STABLE, "EFP")
+    assert rep.final_rigor != RIGOROUS
 
 
 def test_efp_gcd_two_rejected():
@@ -487,6 +502,90 @@ def test_certify_computes_each_analysis_once(monkeypatch):
     assert set(degrees) == set(range(1, 33)) | {200}
     assert set(degrees.values()) == {1}
     assert len(scans) == 1
+
+
+# the reports of the two R < 1 fixtures, less their 64 Rouche attempts
+_PINNED_SMALL_RADIUS = {
+    "small_radius_unstable": {
+        "kernel_id": "7364a355478aea1f839c3160bfa5070fc8180bca01b2b777de726093a727e226",
+        "empirical": {
+            "kind": "unbounded",
+            "trajectory": {
+                "last": 14997861450720.8,
+                "length": 55,
+                "max_abs": 14997861450720.8,
+                "overflow": False,
+                "truncated": True,
+            },
+            "witness_index": 50,
+            "witness_value": 1100606069203.528,
+        },
+        "final": {
+            "criterion": "Empirical",
+            "rigor": "empirical",
+            "verdict": "unstable",
+            "witness": {"witness_index": 50, "witness_value": 1100606069203.528},
+        },
+    },
+    "geometric_null": {
+        "kernel_id": "a25506f36b49fed4c2a26aa38800c5ea511fac64017d0a8966683af14e1416cb",
+        "empirical": {
+            "kind": "decaying",
+            "trajectory": {"last": 0.0, "length": 10001, "max_abs": 3.0, "overflow": False, "truncated": False},
+            "witness_index": 9901,
+            "witness_value": 0.0,
+        },
+        "final": {
+            "criterion": "Empirical",
+            "rigor": "empirical",
+            "verdict": "asymptotically_stable",
+            "witness": {"witness_index": 9901, "witness_value": 0.0},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SMALL_RADIUS))
+def test_certify_small_radius_computes_no_roots(monkeypatch, name):
+    # R < 1 makes L_n divergent at every n, so both Rouche criteria decline
+    # before any root of p_n is computed, and the report does not change
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    d = report_to_dict(certify_mod.certify(paper_kernels()[name]))
+    assert roots == []
+    rouche = [{"criterion": c, "verdict": NOT_APPLICABLE, "n": n} for c in ("RoucheStable", "RoucheUnstable") for n in range(1, 33)]
+    early = [{"criterion": c, "verdict": NOT_APPLICABLE} for c in ("AbsoluteSum", "EFP", "RealAxisRoot")]
+    marginal = [{"criterion": "MarginalStable", "verdict": NOT_APPLICABLE}]
+    assert d == {**_PINNED_SMALL_RADIUS[name], "attempts": early + rouche + marginal}
+
+
+@pytest.mark.parametrize("name", ["alternating_cubic", "geometric_half"])
+def test_certify_fallback_runs_solve_fast(name):
+    k = paper_kernels()[name]
+    rep = certify(k)
+    assert rep.trajectory_summary == certify_mod._summarize(solve_fast(k, 10_000))
+
+
+def _seeded_kernels():
+    """Seeded kernels, alternately with R < 1 and generic l^1 ones (prefix of
+    0-4 entries in [-1.2, 1.2], |c| in [0.01, 1], |q| in [0.05, 0.98])."""
+    rng = np.random.default_rng(2026)
+    for i in itertools.count():
+        prefix = tuple(rng.uniform(-1.2, 1.2, int(rng.integers(0, 5))))
+        c = float(rng.uniform(0.01, 1.0)) * float(rng.choice([-1.0, 1.0]))
+        q = float(rng.uniform(1.05, 2.5) if i % 2 else rng.uniform(0.05, 0.98)) * float(rng.choice([-1.0, 1.0]))
+        yield KernelSpec(prefix, TailModel.parametric(c, q, float(rng.integers(0, 3))))
+
+
+def test_fallback_kind_matches_direct_solver():
+    # the fallback runs solve_fast; solve stays the reference for its verdict, on
+    # the four fixtures that reach the fallback and the first 20 seeded kernels that do
+    names = ("small_radius_unstable", "geometric_null", "alternating_cubic", "geometric_half")
+    reports = [(k, certify(k)) for k in (paper_kernels()[name] for name in names)]
+    assert all(rep.empirical is not None for _, rep in reports)
+    seeded = ((k, certify(k)) for k in _seeded_kernels())
+    reports += itertools.islice(((k, rep) for k, rep in seeded if rep.empirical is not None), 20)
+    for k, rep in reports:
+        assert rep.empirical.kind == classify(solve(k, 10_000)).kind, k
 
 
 def _window(criterion, verdict, lo, hi):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
@@ -165,6 +166,35 @@ def test_out_of_range_argument_exit_two(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "must be >=" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--kernel", "alternating_cubic", "--steps", "10000000000000"],
+        ["certify", "--kernel", "renewal", "--steps", str(2**24 + 1)],
+        ["certify", "--kernel", "alternating_cubic", "--max-degree", "2001"],
+        ["certify", "--kernel", "alternating_cubic", "--grid-points", str(2**22 + 1)],
+        ["simulate", "--kernel", "alternating_cubic", "--fast", "--steps", "10000000000000"],
+        ["simulate", "--kernel", "alternating_cubic", "--steps", str(2**24 + 1)],
+        ["roots", "--kernel", "alternating_cubic", "--n", "2001"],
+        ["reproduce-paper", "--steps", "10000000000000"],
+    ],
+    ids=["certify-steps", "certify-steps-renewal", "max-degree", "grid", "simulate-fast", "simulate", "roots", "reproduce"],
+)
+def test_oversized_argument_exit_two(tmp_path, capsys, argv):
+    # rejected before any array of that size is allocated
+    kernels = {"renewal": renewal_kernel(), "alternating_cubic": alternating_cubic_kernel()}
+    argv = [_write_kernel(tmp_path, kernels[a]) if a in kernels else a for a in argv]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "must be <=" in err
 
 
 @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])

@@ -170,6 +170,19 @@ def test_tail_abs_divergent_for_growing_ratio():
     assert tail_abs_sum(small_radius_unstable_kernel(2.0), 5).is_divergent
 
 
+@pytest.mark.parametrize(
+    "q, alpha, mode",
+    [(1.0, 1.0, "absolute"), (1.0, 2.0, "first_moment"), (-1.0, 1.0, "first_moment")],
+)
+def test_divergence_decided_on_the_exact_exponent(q, alpha, mode):
+    # alpha + beta - weight exceeds the bound (1 for q = 1, 0 for q = -1) by
+    # 2^-60, which the rounded sum alpha + beta - weight loses: the series
+    # converges, so no divergence proof exists; at beta = 0 it does diverge
+    k = KernelSpec((), TailModel.parametric(1.0, q, alpha, 2.0**-60))
+    assert not series_sum(k, mode).is_divergent
+    assert series_sum(KernelSpec((), TailModel.parametric(1.0, q, alpha, 0.0)), mode).is_divergent
+
+
 def test_tail_abs_rejects_negative_index():
     with pytest.raises(ValueError):
         tail_abs_sum(renewal_kernel(), -1)
