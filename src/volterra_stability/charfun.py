@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-8
-_GOLDEN_TOL = 1e-12
 _UNIT_TOL = 1e-9  # |z| counts as on the unit circle within this
 # highest degree pn_roots takes: its companion matrix has n^2 entries
 _MAX_DEGREE = 2000
@@ -160,59 +159,32 @@ def pn_roots(kernel: KernelSpec, n: int) -> RootSet:
     return RootSet(n, tuple(complex(z) for z in roots), residual, r_n)
 
 
-def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = b - a
-    if h <= tol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    c = a + invphi2 * h
-    d = a + invphi * h
-    yc, yd = f(c), f(d)
-    for _ in range(int(math.ceil(math.log(tol / h) / math.log(invphi)))):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= invphi
-            c = a + invphi2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= invphi
-            d = a + invphi * h
-            yd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
 def maximize_delta(roots: RootSet) -> DeltaMax:
     """Global maximum of delta_n(rho) = prod |1 - rho|z_i|| over [1/r_n, 1].
 
-    The profile is log-concave between consecutive kinks 1/|z_i|, so a
-    golden-section pass per smooth piece plus the kink and endpoint values
-    finds the global maximum.
+    delta_n is 0 at 1/r_n and at every kink 1/|z_i| inside the interval, and
+    between consecutive kinks log delta_n is concave: its slope
+    Sum_i |z_i| / (rho|z_i| - 1) falls across the piece.  Bisecting on the
+    sign of that slope until the bracket holds two adjacent floats finds each
+    piece's maximum; rho = 1 is the only other candidate.
     """
     if roots.r_n <= 1.0:
         raise DomainError(f"delta maximization needs r_n > 1, got {roots.r_n}")
     moduli = roots.moduli
     lo = 1.0 / roots.r_n
-    hi = 1.0
-    kinks = sorted({1.0 / m for m in moduli if m > 1.0 and lo < 1.0 / m < hi})
-
-    def delta(rho: float) -> float:
-        with np.errstate(over="ignore"):  # inf is the right value for huge moduli
-            return float(np.prod(np.abs(1.0 - rho * moduli)))
-
-    best_rho, best_val = lo, delta(lo)
-    for rho in kinks + [hi]:
-        v = delta(rho)
-        if v > best_val:
-            best_rho, best_val = rho, v
-    bounds = [lo] + kinks + [hi]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        rho, v = _golden_max(delta, a, b)
-        if v > best_val:
-            best_rho, best_val = rho, v
+    kinks = sorted({1.0 / m for m in moduli if m > 1.0 and lo < 1.0 / m < 1.0})
+    # inf is the right value for huge moduli; a nan slope or value loses every test
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        best_rho, best_val = 1.0, float(np.prod(np.abs(1.0 - moduli)))
+        for a, b in zip([lo] + kinks, kinks + [1.0]):
+            while (mid := 0.5 * (a + b)) not in (a, b):
+                if np.sum(moduli / (mid * moduli - 1.0)) > 0.0:
+                    a = mid
+                else:
+                    b = mid
+            v = float(np.prod(np.abs(1.0 - mid * moduli)))
+            if v > best_val:
+                best_rho, best_val = mid, v
     return DeltaMax(best_rho, best_val, tuple(kinks))
 
 

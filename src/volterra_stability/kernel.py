@@ -46,6 +46,9 @@ _EPS = 2.0 ** -52
 # hard cap on explicitly summed tail terms before giving up with Unknown
 _TERM_BUDGET = 6_000_000
 _CHUNK = 65_536
+# the least integer that float() cannot convert: indices stay below it
+_FLOAT_END = 2**1024 - 2**970
+_TINY = 2.0**-1022  # the least normal float
 
 
 class KernelFormatError(ValueError):
@@ -157,8 +160,10 @@ def term(kernel: KernelSpec, n: int) -> float:
         raise ValueError(f"term index must be >= 1, got {n}")
     if n <= len(kernel.prefix):
         return kernel.prefix[n - 1]
+    if n >= _FLOAT_END:
+        raise ValueError("term index must be below float range")
     t = kernel.tail
-    return float(_tail_terms(t.c, t.q, t.alpha, t.beta, np.array([float(n)]))[0])
+    return float(_tail_terms(t.c, t.q, t.alpha, t.beta, np.array([float(n)]))[0][0])
 
 
 def terms(kernel: KernelSpec, count: int) -> np.ndarray:
@@ -167,20 +172,38 @@ def terms(kernel: KernelSpec, count: int) -> np.ndarray:
     npre = min(len(kernel.prefix), count)
     out[1 : npre + 1] = kernel.prefix[:npre]
     t = kernel.tail
-    out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))
+    out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))[0]
     return out
 
 
-def _tail_terms(c: float, q: float, alpha: float, beta: float, i: np.ndarray) -> np.ndarray:
-    """c q^i / (i^alpha (i+1)^beta) at the float indices i: the one formula
-    for tail terms, so that term, terms and the bracketed sums agree bit for bit."""
+def _tail_terms(c: float, q: float, alpha: float, beta: float, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c q^i / (i^alpha (i+1)^beta) at the ascending float indices i, and the
+    indices of the terms that are off by up to (|c| + 1) ulp(0): the one formula
+    for tail terms, so that term, terms and the bracketed sums agree bit for bit.
+
+    A q^i below the normal range is off by up to ulp(0), so c q^i by |c| ulp(0).
+    Where i^alpha or (i+1)^beta overflows while c q^i does not, the quotient
+    would be 0; the term is c q^i i^-alpha (i+1)^-beta there, off by at most
+    (|c| + 1) ulp(0) where a factor underflows (|q| <= 1 in every sum).
+    """
     with np.errstate(under="ignore", over="ignore"):
-        t = c * np.power(q, i)
-        if alpha:
-            t /= np.power(i, alpha)
-        if beta:
-            t /= np.power(i + 1.0, beta)
-    return t
+        qi = np.power(q, i)
+        t = c * qi
+        dens = ([np.power(i, alpha)] if alpha else []) + ([np.power(i + 1.0, beta)] if beta else [])
+        for den in dens:
+            t /= den
+        j = i[:0]
+        # i ascends, so the denominators are greatest, and |q^i| is least when
+        # |q| < 1, at the end; an index in both lists counts twice, which only
+        # widens a pad
+        if i.size and any(den[-1] == math.inf for den in dens):
+            k = np.flatnonzero(np.logical_or.reduce([np.isinf(den) for den in dens]))
+            k = k[np.isfinite(c * np.power(q, i[k]))]
+            j = i[k]
+            t[k] = c * np.power(q, j) * j**-alpha * (j + 1.0) ** -beta
+        if i.size and q and abs(qi[-1]) < _TINY:
+            j = np.concatenate((j, i[np.abs(qi) < _TINY]))
+    return t, j
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +253,8 @@ def _tail_enclosure(
     if aq > 1.0 or (q == 1.0 and math.fsum((alpha, beta, -weight, -1.0)) <= 0.0) or (q == -1.0 and s <= 0.0):
         # |terms| grow, sum like i^-s with s <= 1, or do not tend to zero
         return SumEnclosure.divergent()
+    if start >= _FLOAT_END:
+        raise ValueError("tail start index must be below float range")
     if q == 1.0 and alpha == 1.0 and beta == 1.0 and weight == 0:
         # telescoping: Sum_{i>=m} 1/(i(i+1)) = 1/m
         v = c / start
@@ -238,7 +263,7 @@ def _tail_enclosure(
         # geometric: Sum_{i>=m} q^i = q^m / (1-q); a q^m that underflows is off
         # by up to ulp(0), which the factors after it scale by at most this much
         v = c * (q ** start / (1.0 - q) if weight == 0 else _geom_first(q, start))
-        return _pad(v, v, abs(c) * (2 * start + 2) * math.ulp(0.0) / (1.0 - aq) ** 2)
+        return _pad(v, v, abs(c) * (2.0 * start + 2.0) * math.ulp(0.0) / (1.0 - aq) ** 2)
 
     if q == 1.0:
         # completely monotone terms: at most 64 of them, then Euler-Maclaurin
@@ -315,10 +340,10 @@ def _euler_maclaurin(c: float, alpha: float, beta: float, start: int, weight: in
     n = _stop_index(lambda m: rem(m, p), start, 0.75 * precision, last) or last
     i = np.arange(start, n, dtype=float)
     with np.errstate(over="ignore"):
-        head = _tail_terms(mag, 1.0, alpha, beta, i)
+        head, loose = _tail_terms(mag, 1.0, alpha, beta, i)
         if weight:
             head *= i
-        dirt = 4.0 * _EPS * float(np.sum(head))
+        dirt = 4.0 * _EPS * float(np.sum(head)) + lost * float(np.sum(loose**weight))
     vals = head.tolist()
     r_lo = r_hi = 0.0
     for a, b, sign in parts:
@@ -408,12 +433,16 @@ def _bracketed(
         return SumEnclosure.unknown()
     partial = 0.0
     abs_accum = 0.0
+    # Sum of i^weight over the terms that _tail_terms finds off by up to (|c| + 1) ulp(0)
+    loose_weight = 0.0
     for i0 in range(start, m + 1, _CHUNK):
         i = np.arange(i0, min(m, i0 + _CHUNK - 1) + 1, dtype=float)
         # release the previous chunk's terms first: while they are held, glibc
         # trims and refaults the heap on every chunk, about 25% slower
         t = None
-        t = _tail_terms(c, q, alpha, beta, i)
+        t, loose = _tail_terms(c, q, alpha, beta, i)
+        if loose.size:
+            loose_weight += float(np.sum(loose**weight))
         if weight:
             with np.errstate(over="ignore"):
                 t *= i
@@ -426,7 +455,7 @@ def _bracketed(
     else:
         # same-signed terms: the partial sum is one end
         lo, hi = (partial, partial + rem) if c > 0.0 else (partial - rem, partial)
-    return _pad(lo, hi, 4.0 * _EPS * abs_accum)
+    return _pad(lo, hi, 4.0 * _EPS * abs_accum + (abs(c) + 1.0) * math.ulp(0.0) * loose_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,31 @@ def test_rouche_unstable_inside_roots_not_applicable():
     assert check_rouche_unstable(geometric_half_kernel(), 8).verdict == NOT_APPLICABLE
 
 
+_DIVERGENT_AT_UNIT_RADIUS = TailModel.parametric(0.01, 1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "check, kernel, n, witness",
+    [
+        # R = 1, so the R < 1 exit does not fire, and L_n diverges
+        (check_rouche_stable, KernelSpec((0.1,), _DIVERGENT_AT_UNIT_RADIUS), 1, {"tail_status": "divergent", "r_n": 0.1}),
+        (check_rouche_unstable, KernelSpec((2.0,), _DIVERGENT_AT_UNIT_RADIUS), 1, {"tail_status": "divergent"}),
+        # p_10's roots near 1e50 overflow the residual
+        (
+            check_rouche_unstable,
+            KernelSpec((0.0, -1e100), TailModel.zero()),
+            10,
+            {"reason": "residual nan above 1e-08 for p_10"},
+        ),
+    ],
+    ids=["stable-divergent-tail", "unstable-divergent-tail", "unstable-nonconvergence"],
+)
+def test_rouche_not_applicable_exits(check, kernel, n, witness):
+    cert = check(kernel, n)
+    assert cert.verdict == NOT_APPLICABLE
+    assert {key: cert.witness[key] for key in witness} == witness
+
+
 def test_rouche_unstable_delta_fallback():
     # roots 2 and 1.0 make E3 applicable; engineered tail between E3 and delta max
     # p_2(z) = (z-2)(z-1) = z^2 - 3z + 2  =>  a_1 = 3, a_2 = -2

@@ -295,6 +295,25 @@ def test_huge_moduli_give_inf_without_warning():
     assert dm.value == math.inf
 
 
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        # delta is inf * 0 = nan at the kink 0.5
+        (1e300, math.nextafter(1e300, math.inf), 2.0),
+        (1e300, math.nextafter(1e300, math.inf)),
+    ],
+    ids=["nan-at-kink", "no-other-kink"],
+)
+def test_delta_huge_moduli_inf_at_one_without_warning(moduli):
+    rs = _root_set(*moduli)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dm = maximize_delta(rs)
+    assert dm.value == math.inf and dm.rho0 == 1.0
+    # the first piece, [1/nextafter(1e300), 1e-300], is about 1e-316 wide
+    assert 0.0 < dm.profile_kinks[0] - 1.0 / rs.r_n < 1e-300
+
+
 def test_delta_dominates_e_bounds(rng):
     hits = 0
     for _ in range(1000):

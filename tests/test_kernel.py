@@ -84,6 +84,60 @@ def test_term_overflows_like_terms():
     assert term(k, 2000) == terms(k, 2000)[2000] == math.inf
 
 
+def test_term_with_overflowing_denominator():
+    # 11^300 is beyond float range, while a_11 = 1e300 2^-11 / 11^300 is 1.9e-16
+    k = KernelSpec((), TailModel.parametric(1e300, 0.5, 300.0, 0.0))
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(1e300) * mpmath.mpf(0.5) ** 11 / mpmath.mpf(11) ** 300
+        assert term(k, 11) == terms(k, 11)[11]
+        assert abs(term(k, 11) - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize(
+    "tail, n, precision",
+    [
+        # every term past a_10 has a denominator i^300 beyond float range
+        (TailModel.parametric(1e300, 0.5, 300.0, 0.0), 10, 1e-12),
+        (TailModel.parametric(1e300, 1.0, 300.0, 0.0), 10, 1e-12),
+        # q^4 underflows to 0, while a_4 = 1e300 q^4 / 4^1e-7 is 2.7e-43
+        (TailModel.parametric(1e300, 2.281118027106985e-86, 1e-7, 0.0), 3, 1e-3),
+    ],
+    ids=["denominator-overflow", "denominator-overflow-unit-ratio", "numerator-underflow"],
+)
+def test_tail_abs_sum_with_terms_past_float_range(tail, n, precision):
+    k = KernelSpec((), tail)
+    value = _ref_value(k, 0, True, n=n)
+    assert value > 1e-43 and _holds(tail_abs_sum(k, n, precision), value)
+
+
+_TELESCOPING = TailModel.parametric(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, tail, n",
+    [
+        (term, _TELESCOPING, 10**400),
+        (term, TailModel.zero(), 10**400),
+        # the least integer that float() rounds past float range
+        (term, TailModel.zero(), 2**1024 - 2**970),
+        (tail_abs_sum, _TELESCOPING, 10**400),
+        (tail_abs_sum, TailModel.parametric(1.0, 0.5, 2.0, 0.0), 10**400),
+        (tail_abs_sum, TailModel.parametric(1.0, 1.0, 2.0, 0.0), 2**1024 - 2**970 - 1),
+    ],
+    ids=["term", "term-zero-tail", "term-float-end", "telescoping", "bracketed", "euler-maclaurin-float-end"],
+)
+def test_index_beyond_float_range_rejected(fn, tail, n):
+    with pytest.raises(ValueError, match="index must be below float range"):
+        fn(KernelSpec((), tail), n)
+
+
+def test_index_beyond_float_range_on_zero_or_divergent_tail():
+    # nothing to sum, or divergence decided before any index is used
+    assert tail_abs_sum(KernelSpec((), TailModel.zero()), 10**400) == SumEnclosure.finite(0.0, 0.0)
+    assert tail_abs_sum(KernelSpec((), TailModel.parametric(1.0, 2.0)), 10**400).is_divergent
+    assert term(KernelSpec((), TailModel.zero()), 2**1024 - 2**970 - 1) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # series_sum
 
@@ -135,6 +189,22 @@ def test_series_alternating_conditional_plain():
     enc = series_sum(k, "plain", 1e-5)
     assert enc.is_finite and enc.width <= 1e-5
     assert enc.contains(-math.log(2.0))
+
+
+@pytest.mark.parametrize(
+    "kernel, mode, precision, value, may_be_unknown",
+    [
+        # n (-1)^n / (n+1)^1.1: the bisection for the stop index probes m = 6
+        # and 8, below where the alternating terms start to decrease
+        (KernelSpec((), TailModel.parametric(1.0, -1.0, 0.0, 1.1)), "first_moment", 2.0, -0.18653856746601612, False),
+        # Sum 1/n^6000 = 1 + 2^-6000: the Euler-Maclaurin integral leaves float range
+        (KernelSpec((), TailModel.parametric(1.0, 1.0, 6000.0, 0.0)), "plain", 1e-12, 1.0, True),
+    ],
+    ids=["alternating-before-decrease", "euler-maclaurin-integral-overflow"],
+)
+def test_series_sum_branch_edges(kernel, mode, precision, value, may_be_unknown):
+    enc = series_sum(kernel, mode, precision)
+    assert enc.contains(value) or (may_be_unknown and enc.status == "unknown")
 
 
 def test_series_alternating_conditional_unknown_at_tight_precision():
