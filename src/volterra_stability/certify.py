@@ -170,16 +170,15 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     grid = np.linspace(0.0, span, grid_points // 2 + 2)[1:-1]
     bound = _value_upper_bound(kernel, grid)
     for points, upper in zip((grid, -grid), bound):
-        enclose = functools.cache(lambda i, points=points: power_series_value(kernel, float(points[i]), _AXIS_PRECISION))
         # b_hi < 0 needs a(t) >= enc.lo > 1, so only points with U > 1 can fire
         for j in np.flatnonzero(~(upper <= 1.0)):
-            enc = enclose(j)
+            enc = power_series_value(kernel, float(points[j]), _AXIS_PRECISION)
             if not enc.is_finite or 1.0 - enc.lo >= 0.0:
                 continue
             # anchor: the last point before t with certified b > 0, else b(0) = 1
             anchor = 0.0
             for i in range(j - 1, -1, -1):
-                prev = enclose(i)
+                prev = power_series_value(kernel, float(points[i]), _AXIS_PRECISION)
                 if prev.is_finite and 1.0 - prev.hi > 0.0:
                     anchor = float(points[i])
                     break
@@ -214,12 +213,6 @@ class _Analysis:
     def axis(self) -> Certificate:
         return test_real_axis_root(self.kernel, self.grid_points)
 
-    @functools.cached_property
-    def tail_divergent(self) -> bool:
-        """L_n = Sum_{i>n} |a_i| is divergent at every n: R < 1 means c != 0 and
-        |q| > 1.  Neither Rouche criterion can hold, so they need no roots."""
-        return radius_of_convergence(self.kernel) < 1.0
-
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
@@ -228,7 +221,8 @@ def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
 
 
 def _rouche_stable(analysis: _Analysis, n: int) -> Certificate:
-    if analysis.tail_divergent:
+    # R < 1: c != 0 and |q| > 1, so L_n diverges at every n and no roots are needed
+    if radius_of_convergence(analysis.kernel) < 1.0:
         return _na("RoucheStable", tail_status="divergent", n=n)
     roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
@@ -254,7 +248,8 @@ def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
 
 
 def _rouche_unstable(analysis: _Analysis, n: int) -> Certificate:
-    if analysis.tail_divergent:
+    # R < 1: L_n diverges at every n, as in _rouche_stable
+    if radius_of_convergence(analysis.kernel) < 1.0:
         return _na("RoucheUnstable", tail_status="divergent", n=n)
     roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):

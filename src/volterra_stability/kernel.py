@@ -48,7 +48,6 @@ _TERM_BUDGET = 6_000_000
 _CHUNK = 65_536
 # the least integer that float() cannot convert: indices stay below it
 _FLOAT_END = 2**1024 - 2**970
-_TINY = 2.0**-1022  # the least normal float
 
 
 class KernelFormatError(ValueError):
@@ -163,7 +162,7 @@ def term(kernel: KernelSpec, n: int) -> float:
     if n >= _FLOAT_END:
         raise ValueError("term index must be below float range")
     t = kernel.tail
-    return float(_tail_terms(t.c, t.q, t.alpha, t.beta, np.array([float(n)]))[0][0])
+    return float(_tail_terms(t.c, t.q, t.alpha, t.beta, np.array([float(n)]))[0])
 
 
 def terms(kernel: KernelSpec, count: int) -> np.ndarray:
@@ -172,38 +171,45 @@ def terms(kernel: KernelSpec, count: int) -> np.ndarray:
     npre = min(len(kernel.prefix), count)
     out[1 : npre + 1] = kernel.prefix[:npre]
     t = kernel.tail
-    out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))[0]
+    out[npre + 1 :] = _tail_terms(t.c, t.q, t.alpha, t.beta, np.arange(npre + 1, count + 1, dtype=float))
     return out
 
 
-def _tail_terms(c: float, q: float, alpha: float, beta: float, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c q^i / (i^alpha (i+1)^beta) at the ascending float indices i, and the
-    indices of the terms that are off by up to (|c| + 1) ulp(0): the one formula
-    for tail terms, so that term, terms and the bracketed sums agree bit for bit.
+def _tail_terms(c: float, q: float, alpha: float, beta: float, i: np.ndarray) -> np.ndarray:
+    """c q^i / (i^alpha (i+1)^beta) at the ascending float indices i: the one
+    formula for tail terms, so that term, terms and the bracketed sums agree bit
+    for bit.
 
-    A q^i below the normal range is off by up to ulp(0), so c q^i by |c| ulp(0).
     Where i^alpha or (i+1)^beta overflows while c q^i does not, the quotient
-    would be 0; the term is c q^i i^-alpha (i+1)^-beta there, off by at most
-    (|c| + 1) ulp(0) where a factor underflows (|q| <= 1 in every sum).
+    would be 0; the term is c q^i i^-alpha (i+1)^-beta there.  Where c q^i
+    overflows as well, the term comes out inf or nan.
     """
-    with np.errstate(under="ignore", over="ignore"):
-        qi = np.power(q, i)
-        t = c * qi
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        t = c * np.power(q, i)
         dens = ([np.power(i, alpha)] if alpha else []) + ([np.power(i + 1.0, beta)] if beta else [])
         for den in dens:
             t /= den
-        j = i[:0]
-        # i ascends, so the denominators are greatest, and |q^i| is least when
-        # |q| < 1, at the end; an index in both lists counts twice, which only
-        # widens a pad
+        # i ascends, so the denominators are greatest at the end
         if i.size and any(den[-1] == math.inf for den in dens):
             k = np.flatnonzero(np.logical_or.reduce([np.isinf(den) for den in dens]))
             k = k[np.isfinite(c * np.power(q, i[k]))]
             j = i[k]
             t[k] = c * np.power(q, j) * j**-alpha * (j + 1.0) ** -beta
-        if i.size and q and abs(qi[-1]) < _TINY:
-            j = np.concatenate((j, i[np.abs(qi) < _TINY]))
-    return t, j
+    return t
+
+
+def _explicit(c: float, q: float, alpha: float, beta: float, i: np.ndarray, weight: int) -> tuple[np.ndarray, float]:
+    """The terms i^weight c q^i / (i^alpha (i+1)^beta) at the float indices i,
+    and a bound on their float error: 4 eps Sum |term| for rounding, plus
+    (|c| + 1) ulp(0) i^weight for every term, since underflow (a subnormal q^i,
+    a factor of the scaled form, or a subnormal quotient) puts a term off by at
+    most (|c| + 1) ulp(0) when |q| <= 1, as in every sum.
+    """
+    t = _tail_terms(c, q, alpha, beta, i)
+    with np.errstate(over="ignore"):
+        if weight:
+            t *= i
+        return t, 4.0 * _EPS * float(np.sum(np.abs(t))) + (abs(c) + 1.0) * math.ulp(0.0) * float(np.sum(i**weight))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +254,10 @@ def _tail_enclosure(
     if c == 0.0 or q == 0.0:
         return _ZERO
     aq = abs(q)
-    # fsum rounds once, so s and the q = 1 test carry the exact sign
-    s = math.fsum((alpha, beta, -weight))
-    if aq > 1.0 or (q == 1.0 and math.fsum((alpha, beta, -weight, -1.0)) <= 0.0) or (q == -1.0 and s <= 0.0):
+    # fsum rounds once, so s and the q = 1 test carry the exact sign; an alpha +
+    # beta past float range takes s = inf, every term being below |c| ulp(0)
+    s = math.fsum((alpha, beta, -weight)) if alpha + beta < math.inf else math.inf
+    if aq > 1.0 or (q == 1.0 and s <= 1.0 and math.fsum((alpha, beta, -weight - 1.0)) <= 0.0) or (q == -1.0 and s <= 0.0):
         # |terms| grow, sum like i^-s with s <= 1, or do not tend to zero
         return SumEnclosure.divergent()
     if start >= _FLOAT_END:
@@ -338,12 +345,7 @@ def _euler_maclaurin(c: float, alpha: float, beta: float, start: int, weight: in
     if p is None:
         return SumEnclosure.unknown()
     n = _stop_index(lambda m: rem(m, p), start, 0.75 * precision, last) or last
-    i = np.arange(start, n, dtype=float)
-    with np.errstate(over="ignore"):
-        head, loose = _tail_terms(mag, 1.0, alpha, beta, i)
-        if weight:
-            head *= i
-        dirt = 4.0 * _EPS * float(np.sum(head)) + lost * float(np.sum(loose**weight))
+    head, dirt = _explicit(mag, 1.0, alpha, beta, np.arange(start, n, dtype=float), weight)
     vals = head.tolist()
     r_lo = r_hi = 0.0
     for a, b, sign in parts:
@@ -382,8 +384,10 @@ def _em_integral(a: float, b: float, n: int) -> tuple[list[float], float]:
     """(w_k, rest) with int_n^inf x^-a (x+1)^-b dx = (n+1)^-(a+b) Sum_k w_k,
     w_k = (a)_k/k! (n+1)^(1-k) / (a+b+k-1), all > 0, and rest >= Sum of the
     w_k past the last one returned, below eps times their sum; rest is inf
-    if their sum leaves float range first.
+    if their sum leaves float range first, or if a + b does.
     """
+    if a + b == math.inf:
+        return [], math.inf
     sm1 = math.fsum((a, b, -1.0))
     weights, h, total, k = [], float(n + 1), 0.0, 0
     while math.isfinite(total):
@@ -431,23 +435,16 @@ def _bracketed(
     m = _stop_index(log_rem, start, log_target, start + _TERM_BUDGET - 1)
     if m is None:
         return SumEnclosure.unknown()
-    partial = 0.0
-    abs_accum = 0.0
-    # Sum of i^weight over the terms that _tail_terms finds off by up to (|c| + 1) ulp(0)
-    loose_weight = 0.0
+    partial = dirt = 0.0
     for i0 in range(start, m + 1, _CHUNK):
         i = np.arange(i0, min(m, i0 + _CHUNK - 1) + 1, dtype=float)
         # release the previous chunk's terms first: while they are held, glibc
         # trims and refaults the heap on every chunk, about 25% slower
         t = None
-        t, loose = _tail_terms(c, q, alpha, beta, i)
-        if loose.size:
-            loose_weight += float(np.sum(loose**weight))
-        if weight:
-            with np.errstate(over="ignore"):
-                t *= i
-        partial += float(np.sum(t))
-        abs_accum += float(np.sum(np.abs(t)))
+        t, d = _explicit(c, q, alpha, beta, i, weight)
+        dirt += d
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum past float range gives Unknown
+            partial += float(np.sum(t))
     # exp of a log is good to ~1e-11 relative whenever R(m) clears _pad's floor
     rem = math.exp(log_rem(m)) * (1.0 + 1e-10)
     if two_sided:
@@ -455,7 +452,7 @@ def _bracketed(
     else:
         # same-signed terms: the partial sum is one end
         lo, hi = (partial, partial + rem) if c > 0.0 else (partial - rem, partial)
-    return _pad(lo, hi, 4.0 * _EPS * abs_accum + (abs(c) + 1.0) * math.ulp(0.0) * loose_weight)
+    return _pad(lo, hi, dirt)
 
 
 # ---------------------------------------------------------------------------

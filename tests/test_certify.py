@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 certify_mod = importlib.import_module("volterra_stability.certify")
 cli_mod = importlib.import_module("volterra_stability.cli")
@@ -20,9 +20,11 @@ from volterra_stability import (
     UNSTABLE,
     Certificate,
     KernelSpec,
+    NonConvergence,
     TailModel,
     certify,
     classify,
+    kernel_from_dict,
     power_series_value,
     radius_of_convergence,
     report_to_dict,
@@ -221,6 +223,9 @@ def test_real_axis_anchor_skips_undecided_points():
         # Horner overflows to -inf at t = 1/2, so the bound is nan, while
         # a(1/2) = 3e307 has a finite enclosure
         (KernelSpec((1.7e308, -1.7e308, -1e308), TailModel.zero()), 2),
+        # Sum |a_k| t^k leaves float range while the alternating tail of
+        # a(-1/33) does not
+        (KernelSpec((1.0, 1.0), TailModel.parametric(1.7e308, -1.0, 0.5)), 64),
     ],
 )
 def test_real_axis_scans_points_without_a_finite_bound(kernel, grid_points):
@@ -785,3 +790,37 @@ def test_zero_q_tail_certifies_like_the_zero_tail(k, z):
     for n in (1, 2, 3):
         assert check_rouche_stable(k, n) == check_rouche_stable(z, n)
         assert check_rouche_unstable(k, n) == check_rouche_unstable(z, n)
+
+
+# ---------------------------------------------------------------------------
+# the whole kernel schema
+
+
+def _edge_number(nonnegative=False):
+    """0, 1 and its neighbours, the least subnormal, 1e-300, 1e300 or 1.7e308,
+    times a random scale factor, clamped to float range."""
+    base = st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5e-324, 1e-300, 1e300, 1.7e308])
+    scale = st.sampled_from([1.0, 0.5, 2.0, 1e-3, 1e3]) | st.floats(0.05, 20.0)
+    sign = st.sampled_from([1.0] if nonnegative else [1.0, -1.0])
+    return st.builds(lambda b, f, s: s * min(b * f, 1.7e308), base, scale, sign)
+
+
+@st.composite
+def _edge_payload(draw):
+    tail = {"kind": "parametric", "c": draw(_edge_number()), "q": draw(_edge_number())}
+    tail.update(alpha=draw(_edge_number(True)), beta=draw(_edge_number(True)))
+    return {"prefix": draw(st.lists(_edge_number(), max_size=3)), "tail": tail}
+
+
+@settings(derandomize=True, max_examples=200)
+@given(payload=_edge_payload())
+def test_every_parsed_kernel_ends_in_a_report_or_a_documented_error(payload):
+    # ValueError is exit 2 and NonConvergence exit 3; anything else, a numpy
+    # warning included (pyproject's filterwarnings), is a bug
+    try:
+        k = kernel_from_dict(payload)
+        certify(k, max_degree=4, steps=200, grid_points=64)
+        for mode in ("plain", "absolute", "first_moment", "first_moment_abs"):
+            series_sum(k, mode)
+    except (ValueError, NonConvergence):
+        pass

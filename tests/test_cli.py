@@ -2,6 +2,7 @@ import json
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from volterra_stability import KernelSpec, TailModel, dumps_kernel, pn_roots
@@ -75,6 +76,12 @@ def test_certify_stdout_line(tmp_path, capsys):
         {"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": 1, "alpha": 1.0000001, "beta": 0}},
         {"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": -1, "alpha": 1.0000001, "beta": 0}},
         {"prefix": [1e308, 1e308], "tail": {"kind": "zero"}},
+        # alpha + beta is beyond float range
+        {"prefix": [], "tail": {"kind": "parametric", "c": 1.0, "q": 0.5, "alpha": 1e308, "beta": 1e308}},
+        {"prefix": [], "tail": {"kind": "parametric", "c": 1.0, "q": 1.0, "alpha": 1e308, "beta": 1e308}},
+        {"prefix": [], "tail": {"kind": "parametric", "c": 1.0, "q": -1.0, "alpha": 1e308, "beta": 1e308}},
+        # from i = 2 on, q^i and i^2000 both overflow
+        {"prefix": [], "tail": {"kind": "parametric", "c": 1.0, "q": 1e300, "alpha": 2000.0, "beta": 0.0}},
     ],
 )
 def test_certify_beyond_float_range_reports(tmp_path, capsys, payload):
@@ -275,6 +282,16 @@ def test_unknown_flag_exit_two(tmp_path):
 def test_nonconvergence_exit_three(tmp_path, capsys):
     path = _write_kernel(tmp_path, geometric_null_kernel(3.0))
     assert main(["roots", "--kernel", path, "--n", "700"]) == 3
+
+
+def test_eigenvalue_failure_exit_three(monkeypatch, tmp_path, capsys):
+    def fail(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", fail)
+    path = _write_kernel(tmp_path, renewal_kernel())
+    assert main(["roots", "--kernel", path, "--n", "6"]) == 3
+    assert capsys.readouterr().err == "root finding failed: eigenvalue iteration failed for p_6\n"
 
 
 def test_fixture_files_parse():

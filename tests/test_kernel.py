@@ -101,8 +101,10 @@ def test_term_with_overflowing_denominator():
         (TailModel.parametric(1e300, 1.0, 300.0, 0.0), 10, 1e-12),
         # q^4 underflows to 0, while a_4 = 1e300 q^4 / 4^1e-7 is 2.7e-43
         (TailModel.parametric(1e300, 2.281118027106985e-86, 1e-7, 0.0), 3, 1e-3),
+        # 0.7^i is subnormal in every term summed one by one, i > 2050
+        (TailModel.parametric(1e300, 0.7, 1.0, 0.0), 2050, 1e-40),
     ],
-    ids=["denominator-overflow", "denominator-overflow-unit-ratio", "numerator-underflow"],
+    ids=["denominator-overflow", "denominator-overflow-unit-ratio", "numerator-underflow", "many-subnormal-powers"],
 )
 def test_tail_abs_sum_with_terms_past_float_range(tail, n, precision):
     k = KernelSpec((), tail)
@@ -199,12 +201,22 @@ def test_series_alternating_conditional_plain():
         (KernelSpec((), TailModel.parametric(1.0, -1.0, 0.0, 1.1)), "first_moment", 2.0, -0.18653856746601612, False),
         # Sum 1/n^6000 = 1 + 2^-6000: the Euler-Maclaurin integral leaves float range
         (KernelSpec((), TailModel.parametric(1.0, 1.0, 6000.0, 0.0)), "plain", 1e-12, 1.0, True),
+        # Sum n a_n = 1.7e308 ln 4 and its partial sums leave float range
+        (KernelSpec((), TailModel.parametric(1.7e308, 0.75, 2.0)), "first_moment", 1e-9, math.inf, True),
     ],
-    ids=["alternating-before-decrease", "euler-maclaurin-integral-overflow"],
+    ids=["alternating-before-decrease", "euler-maclaurin-integral-overflow", "partial-sum-overflow"],
 )
 def test_series_sum_branch_edges(kernel, mode, precision, value, may_be_unknown):
     enc = series_sum(kernel, mode, precision)
     assert enc.contains(value) or (may_be_unknown and enc.status == "unknown")
+
+
+@pytest.mark.parametrize("mode", ["plain", "absolute", "first_moment", "first_moment_abs"])
+@pytest.mark.parametrize("q", [0.5, 1.0, -1.0])
+def test_series_sum_with_alpha_plus_beta_past_float_range(q, mode):
+    # a_1 = q 2^-1e308 and every later term is smaller still: no OverflowError
+    enc = series_sum(KernelSpec((), TailModel.parametric(1.0, q, 1e308, 1e308)), mode)
+    assert enc.contains(0.0) or enc.status == "unknown"
 
 
 def test_series_alternating_conditional_unknown_at_tight_precision():
