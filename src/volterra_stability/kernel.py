@@ -198,18 +198,29 @@ def _tail_terms(c: float, q: float, alpha: float, beta: float, i: np.ndarray) ->
     return t
 
 
-def _explicit(c: float, q: float, alpha: float, beta: float, i: np.ndarray, weight: int) -> tuple[np.ndarray, float]:
-    """The terms i^weight c q^i / (i^alpha (i+1)^beta) at the float indices i,
-    and a bound on their float error: 4 eps Sum |term| for rounding, plus
-    (|c| + 1) ulp(0) i^weight for every term, since underflow (a subnormal q^i,
-    a factor of the scaled form, or a subnormal quotient) puts a term off by at
-    most (|c| + 1) ulp(0) when |q| <= 1, as in every sum.
-    """
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53, rounded up: k roundings move a value
+    by at most gamma_k of it, exact or computed (Higham, Accuracy and Stability
+    of Numerical Algorithms, Lemma 3.1).  A pow, exp or log within one ulp counts
+    as two, math.fsum as one; a bound that takes j roundings itself reads k + j."""
+    return math.nextafter(k / (2.0**53 - k), math.inf)
+
+
+def _explicit(c: float, q: float, alpha: float, beta: float, i: np.ndarray, weight: int) -> tuple[float, float]:
+    """math.fsum of the terms i^weight c q^i / (i^alpha (i+1)^beta) at the float
+    indices i (exact below 2^53) and a bound on its error: 3 roundings (a pow, a
+    product or quotient) for each of q^i, i^alpha, (i+1)^beta that |q| = 1,
+    alpha = 0 or beta = 0 does not make exact, 1 for the weight, 2 for this fsum
+    and the caller's, 4 for the bound (np.sum of n |t| is within gamma_(n-1)).
+    Underflow adds under (|c| + 4) ulp(0) i^weight a term: ulp(0) for a subnormal
+    pow, times at most |c| (below 1 for a second), and ulp(0)/2 a product."""
     t = _tail_terms(c, q, alpha, beta, i)
     with np.errstate(over="ignore"):
         if weight:
             t *= i
-        return t, 4.0 * _EPS * float(np.sum(np.abs(t))) + (abs(c) + 1.0) * math.ulp(0.0) * float(np.sum(i**weight))
+        mag = float(np.sum(np.abs(t))) * (1.0 + _gamma(2 * t.size))
+    k = 3 * ((abs(q) != 1.0) + (alpha != 0.0) + (beta != 0.0)) + weight + 6
+    return math.fsum(t.tolist()), _gamma(k) * mag + (abs(c) + 4.0) * math.ulp(0.0) * float(np.sum(i**weight))
 
 
 # ---------------------------------------------------------------------------
@@ -222,55 +233,52 @@ _ZERO = SumEnclosure.finite(0.0, 0.0)
 
 
 def _pad(lo: float, hi: float, dirt: float) -> SumEnclosure:
-    """Outward-round an interval by a bound on accumulated float error.
-
-    The absolute floor covers subnormal quantization, where relative padding
-    underflows to nothing.  Endpoints beyond float range give Unknown.
-    """
-    slack = dirt + 4.0 * _EPS * max(-lo, hi) + 1e-305
+    """Widen [lo, hi] by dirt, a bound on the float error of the ends, and by
+    gamma_3 (|end| + dirt) for forming each end, the slack and the widened end.
+    A sum that underflows is exact, and no floor is added: each site's dirt has
+    its own ulp(0) term.  Endpoints beyond float range give Unknown."""
+    slack = dirt + _gamma(3) * (max(-lo, hi) + dirt)
     lo, hi = lo - slack, hi + slack
     if not -math.inf < lo <= hi < math.inf:
         return SumEnclosure.unknown()
     return SumEnclosure("finite", lo, hi)
 
 
-def _geom_first(q: float, m: int) -> float:
-    # Sum_{i>=m} i q^i, |q| < 1
-    return q ** m * (m - (m - 1) * q) / (1.0 - q) ** 2
-
-
 def _tail_enclosure(
-    c: float,
-    q: float,
-    alpha: float,
-    beta: float,
-    start: int,
-    weight: int,
-    absolute: bool,
-    precision: float,
+    c: float, q: float, alpha: float, beta: float, start: int, weight: int, absolute: bool, precision: float
 ) -> SumEnclosure:
     if absolute:
         c, q = abs(c), abs(q)
     if c == 0.0 or q == 0.0:
         return _ZERO
     aq = abs(q)
-    # fsum rounds once, so s and the q = 1 test carry the exact sign; an alpha +
-    # beta past float range takes s = inf, every term being below |c| ulp(0)
+    # fsum rounds once, so s and the q = 1 test carry the exact sign
     s = math.fsum((alpha, beta, -weight)) if alpha + beta < math.inf else math.inf
     if aq > 1.0 or (q == 1.0 and s <= 1.0 and math.fsum((alpha, beta, -weight - 1.0)) <= 0.0) or (q == -1.0 and s <= 0.0):
         # |terms| grow, sum like i^-s with s <= 1, or do not tend to zero
         return SumEnclosure.divergent()
     if start >= _FLOAT_END:
         raise ValueError("tail start index must be below float range")
+    if s == math.inf:  # alpha and beta both exceed 2^970: the tail is below |c| ulp(0)
+        return _pad(0.0, 0.0, (abs(c) + 1.0) * math.ulp(0.0))
     if q == 1.0 and alpha == 1.0 and beta == 1.0 and weight == 0:
-        # telescoping: Sum_{i>=m} 1/(i(i+1)) = 1/m
+        # telescoping: Sum_{i>=m} 1/(i(i+1)) = 1/m: 2 roundings (m past 2^53
+        # among them), 2 for the bound, and ulp(0) for an underflow
         v = c / start
-        return SumEnclosure.finite(v, v) if Fraction(v) * start == Fraction(c) else _pad(v, v, 0.0)
+        exact = Fraction(v) * start == Fraction(c)
+        return SumEnclosure.finite(v, v) if exact else _pad(v, v, _gamma(4) * abs(v) + math.ulp(0.0))
+    if start > 2**53 - _TERM_BUDGET:  # float indices are exact only below 2^53
+        return SumEnclosure.unknown()
     if aq < 1.0 and alpha == 0.0 and beta == 0.0:
-        # geometric: Sum_{i>=m} q^i = q^m / (1-q); a q^m that underflows is off
-        # by up to ulp(0), which the factors after it scale by at most this much
-        v = c * (q ** start / (1.0 - q) if weight == 0 else _geom_first(q, start))
-        return _pad(v, v, abs(c) * (2.0 * start + 2.0) * math.ulp(0.0) / (1.0 - aq) ** 2)
+        # geometric: Sum_{i>=m} q^i = q^m/(1-q) in 5 roundings, the first moment
+        # q^m (m(1-q) + q)/(1-q)^2 in 13 (1 - q is exact for q >= 1/2, and for
+        # q < 0 m(1-q) + q cancels by at most a factor 3), 2 for the bound.  A
+        # q^m that underflows is off by ulp(0), scaled after by (2m+1)/(1-|q|)^2
+        # at most, and each later product or quotient by ulp(0)/2: (2m+3) covers
+        # both and this bound's own subnormal rounding
+        v = c * (q**start / (1.0 - q) if weight == 0 else q**start * (start * (1.0 - q) + q) / (1.0 - q) ** 2)
+        lost = abs(c) * ((2.0 * start + 3.0) / (1.0 - aq) ** 2 * math.ulp(0.0)) + math.ulp(0.0)
+        return _pad(v, v, _gamma(7 + 8 * weight) * abs(v) + lost)
 
     if q == 1.0:
         # completely monotone terms: at most 64 of them, then Euler-Maclaurin
@@ -345,26 +353,28 @@ def _euler_maclaurin(c: float, alpha: float, beta: float, start: int, weight: in
     if p is None:
         return SumEnclosure.unknown()
     n = _stop_index(lambda m: rem(m, p), start, 0.75 * precision, last) or last
-    head, dirt = _explicit(mag, 1.0, alpha, beta, np.arange(start, n, dtype=float), weight)
-    vals = head.tolist()
+    vals, dirt = [], []
     r_lo = r_hi = 0.0
     for a, b, sign in parts:
         fn, f0 = scale(n, n + 1, a, b), scale(n + 1, n + 1, a, b)
         weights, rest = _em_integral(a, b, n)
-        # (scale, weight, rounding of their product in eps): the first omitted
-        # term, the corrections j = p..1, f(N)/2 and int_N^inf f = f0 Sum_k w_k
-        terms = [(fn, _EM_COEF[j] * _leibniz(a, b, n, 2 * j + 1), 4 * j + 10) for j in range(p, -1, -1)]
-        terms += [(fn, 0.5, 4)] + [(f0, w, 2 * k + 8) for k, w in enumerate(weights)]
-        dirt += sum(ops * _EPS * abs(f * w) + lost * abs(w) for f, w, ops in terms) + (f0 + lost) * rest
+        # (scale, weight, roundings): the first omitted term, the corrections
+        # j = p..0, f(N)/2 and int_N^inf f = f0 Sum_k w_k; scale takes 6, the
+        # j-th weight 8j + 8 (_leibniz 4k + 2 at k = 2j + 1), w_k 4k + 3, then
+        # f w (exact for 0.5), the fsum and 2 for the bound.  Underflow: lost (|w| + 1)
+        terms = [(fn, _EM_COEF[j] * _leibniz(a, b, n, 2 * j + 1), 8 * j + 18) for j in range(p, -1, -1)]
+        terms += [(fn, 0.5, 9)] + [(f0, w, 4 * k + 13) for k, w in enumerate(weights)]
+        dirt += [_gamma(ops) * abs(f * w) + lost * (abs(w) + 1.0) for f, w, ops in terms] + [(f0 + lost) * rest]
         r, *part = (sign * f * w for f, w, _ in terms)
         vals += part
         r_lo, r_hi = r_lo + min(r, 0.0), r_hi + max(r, 0.0)
+    try:
+        head, d = _explicit(mag, 1.0, alpha, beta, np.arange(start, n, dtype=float), weight)
+        total, dirt = math.fsum(vals + [head]), math.fsum(dirt + [d])
+    except (OverflowError, ValueError):  # a partial sum past float range
+        return SumEnclosure.unknown()
     # the remainder takes 3/4 of the precision, the rounding on each side 1/16
     if not 16.0 * dirt <= precision:
-        return SumEnclosure.unknown()
-    try:
-        total = math.fsum(vals)
-    except OverflowError:  # a partial sum past float range
         return SumEnclosure.unknown()
     lo, hi = total + r_lo, total + r_hi
     return _pad(-hi, -lo, dirt) if c < 0.0 else _pad(lo, hi, dirt)
@@ -384,10 +394,8 @@ def _em_integral(a: float, b: float, n: int) -> tuple[list[float], float]:
     """(w_k, rest) with int_n^inf x^-a (x+1)^-b dx = (n+1)^-(a+b) Sum_k w_k,
     w_k = (a)_k/k! (n+1)^(1-k) / (a+b+k-1), all > 0, and rest >= Sum of the
     w_k past the last one returned, below eps times their sum; rest is inf
-    if their sum leaves float range first, or if a + b does.
+    if their sum leaves float range first.
     """
-    if a + b == math.inf:
-        return [], math.inf
     sm1 = math.fsum((a, b, -1.0))
     weights, h, total, k = [], float(n + 1), 0.0, 0
     while math.isfinite(total):
@@ -414,14 +422,7 @@ def _stop_index(bound, first: int, target: float, last: int) -> int | None:
 
 
 def _bracketed(
-    c: float,
-    q: float,
-    alpha: float,
-    beta: float,
-    start: int,
-    weight: int,
-    precision: float,
-    log_rem,
+    c: float, q: float, alpha: float, beta: float, start: int, weight: int, precision: float, log_rem
 ) -> SumEnclosure:
     """Explicit terms start..m plus the remainder bound R(m), padded once.
 
@@ -435,23 +436,19 @@ def _bracketed(
     m = _stop_index(log_rem, start, log_target, start + _TERM_BUDGET - 1)
     if m is None:
         return SumEnclosure.unknown()
-    partial = dirt = 0.0
-    for i0 in range(start, m + 1, _CHUNK):
-        i = np.arange(i0, min(m, i0 + _CHUNK - 1) + 1, dtype=float)
-        # release the previous chunk's terms first: while they are held, glibc
-        # trims and refaults the heap on every chunk, about 25% slower
-        t = None
-        t, d = _explicit(c, q, alpha, beta, i, weight)
-        dirt += d
-        with np.errstate(over="ignore", invalid="ignore"):  # a sum past float range gives Unknown
-            partial += float(np.sum(t))
-    # exp of a log is good to ~1e-11 relative whenever R(m) clears _pad's floor
-    rem = math.exp(log_rem(m)) * (1.0 + 1e-10)
-    if two_sided:
-        lo, hi = partial - rem, partial + rem
-    else:
-        # same-signed terms: the partial sum is one end
-        lo, hi = (partial, partial + rem) if c > 0.0 else (partial - rem, partial)
+    chunks = (np.arange(i0, min(m, i0 + _CHUNK - 1) + 1, dtype=float) for i0 in range(start, m + 1, _CHUNK))
+    try:
+        partial, dirt = map(math.fsum, zip(*(_explicit(c, q, alpha, beta, i, weight) for i in chunks)))
+    except (OverflowError, ValueError):  # a partial sum past float range
+        return SumEnclosure.unknown()
+    # the parts of log R(m) are <= 0 but log|c| <= 710 and up to three logs of
+    # 1/(1-|q|), m + 1 or 1 + m(1-|q|), each < 37: where R(m) >= ulp(0) they
+    # sum to at most 2,400 in absolute value, each in at most 10 roundings, so
+    # the exp is good to 3e-12 relative; below ulp(0)/2 it rounds to 0
+    rem = math.exp(log_rem(m)) * (1.0 + 1e-10) + math.ulp(0.0)
+    # with same-signed terms the partial sum is one end
+    lo = partial - rem if two_sided or c < 0.0 else partial
+    hi = partial + rem if two_sided or c > 0.0 else partial
     return _pad(lo, hi, dirt)
 
 
@@ -465,18 +462,19 @@ def _add(parts, tail: SumEnclosure, exact: Fraction | None = None, slack: float 
     """fsum of the prefix contributions ``parts`` plus the tail enclosure.
 
     A divergent tail stays divergent; parts or a sum beyond float range give
-    Unknown.  The pad is 4*eps*Sum|part| (the rounding of each part and of the
-    fsum) plus the smallest subnormal (so that parts that underflowed to 0 are
-    never taken for an exact sum), 0 when the fsum equals ``exact``, plus
-    ``slack``, a bound on any further rounding.  The result is unpadded only
-    when the pad is 0 and the prefix or the tail is 0.
+    Unknown.  The pad is gamma_8 Sum|part| (a part takes at most three
+    roundings, v t^k, and the fsum one; the bound four more) plus the smallest
+    subnormal (so that parts that underflowed to 0 are never taken for an exact
+    sum), 0 when the fsum equals ``exact``, plus ``slack``, a bound on any
+    further rounding.  The result is unpadded only when the pad is 0 and the
+    prefix or the tail is 0.
     """
     if tail.is_divergent:
         return tail
     try:
         parts = list(parts)
         total = math.fsum(parts)
-        dirt = 4.0 * _EPS * sum(map(abs, parts)) + math.ulp(0.0)
+        dirt = _gamma(8) * math.fsum(map(abs, parts)) + math.ulp(0.0)
     except (OverflowError, ValueError):
         return SumEnclosure.unknown()
     if not tail.is_finite:
@@ -533,20 +531,21 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
         raise ValueError("precision must be positive")
     if abs(t) >= radius_of_convergence(kernel):
         return SumEnclosure.unknown()
-    # a t^k that underflows is off by up to ulp(0), so a_k t^k by |a_k| ulp(0);
-    # summed part by part, since Sum |a_k| alone can overflow
-    lost = sum(abs(v) * math.ulp(0.0) for v in kernel.prefix)
+    # a t^k that underflows is off by up to ulp(0), so a_k t^k by (|a_k| + 1/2)
+    # ulp(0); summed part by part, since Sum |a_k| alone can overflow
+    lost = sum((abs(v) + 1.0) * math.ulp(0.0) for v in kernel.prefix)
     tm = kernel.tail
     ratio = tm.q * t
-    # fl(q*t) is within eps*|q*t| + ulp(0) of q*t (the ulp for underflow), which
-    # moves term n by at most n*|c|*(eps*bar + ulp(0))*bar^(n-1); summed over
-    # n >= 1 that is |c|*(eps*bar + ulp(0))/(1-bar)^2
-    bar = abs(ratio) * (1.0 + _EPS)
+    # fl(q*t) is within gamma_1 |fl(q*t)| + ulp(0) of q*t (the ulp for
+    # underflow), which moves term n by at most n |c| (gamma_1 bar + ulp(0))
+    # bar^(n-1); summed over n >= 1 that is |c| (gamma_1 bar + ulp(0))/(1-bar)^2,
+    # read as gamma_8 for the 7 roundings of this bound
+    bar = abs(ratio) * (1.0 + _gamma(1))
     if bar >= 1.0:
         return SumEnclosure.unknown()
     enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, False, precision)
     parts = (v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
-    return _add(parts, enc, slack=lost + abs(tm.c) * (_EPS * bar + math.ulp(0.0)) / (1.0 - bar) ** 2)
+    return _add(parts, enc, slack=lost + abs(tm.c) * (_gamma(8) * bar + math.ulp(0.0)) / (1.0 - bar) ** 2)
 
 
 def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
@@ -554,7 +553,8 @@ def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
 
     a_1..a_K by Horner, K = max(N, 512), padded by (4K + 64) eps times the
     Horner sum of |a_k| |t|^k, which covers the rounding of the computed a_k,
-    of Horner (gamma_2K) and of the final additions, plus (K + 1)(|c| + 2)
+    of Horner (gamma_2K) and of the final additions with room to spare (a
+    float filter, not an enclosure, so it reads no _gamma), plus (K + 1)(|c| + 2)
     times the smallest subnormal for terms that underflow.  The rest is at most
     E (|t|/g)^(K+1) with E = Sum_{k>K} |a_k| g^k certified at the grid's far
     end g.  Entries are inf or nan where the coefficients or E leave float

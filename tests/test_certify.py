@@ -453,6 +453,13 @@ def test_certify_renewal_stops_at_efp():
     assert [a["criterion"] for a in rep.attempts] == ["AbsoluteSum", "EFP"]
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, -1.0])
+def test_certify_tail_with_alpha_plus_beta_past_float_range(q):
+    # every |a_n| is below ulp(0), at |q| = 1 as at q = 0.5
+    rep = certify(KernelSpec((), TailModel.parametric(1.0, q, 1e308, 1e308)))
+    assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == (ASYMPTOTICALLY_STABLE, "AbsoluteSum", RIGOROUS)
+
+
 def test_certify_small_radius_all_na_then_unbounded():
     rep = certify(small_radius_unstable_kernel())
     assert rep.final_verdict == UNSTABLE and rep.final_rigor == "empirical"

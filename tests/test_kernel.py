@@ -133,6 +133,15 @@ def test_index_beyond_float_range_rejected(fn, tail, n):
         fn(KernelSpec((), tail), n)
 
 
+def test_tail_start_past_2_53_is_unknown():
+    # float(2^60 + 2^7) is 2^60, which moves q^m by 128 (1 - q), 128 u relative:
+    # past 2^53 no count of roundings bounds a tail that needs float indices
+    n = 2**60 + 2**7 - 1
+    assert tail_abs_sum(KernelSpec((), TailModel.parametric(1.0, 1.0 - 2.0**-53)), n).status == "unknown"
+    enc = tail_abs_sum(KernelSpec((), _TELESCOPING), n)
+    assert Fraction(enc.lo) <= Fraction(1, n + 1) <= Fraction(enc.hi)
+
+
 def test_index_beyond_float_range_on_zero_or_divergent_tail():
     # nothing to sum, or divergence decided before any index is used
     assert tail_abs_sum(KernelSpec((), TailModel.zero()), 10**400) == SumEnclosure.finite(0.0, 0.0)
@@ -214,9 +223,23 @@ def test_series_sum_branch_edges(kernel, mode, precision, value, may_be_unknown)
 @pytest.mark.parametrize("mode", ["plain", "absolute", "first_moment", "first_moment_abs"])
 @pytest.mark.parametrize("q", [0.5, 1.0, -1.0])
 def test_series_sum_with_alpha_plus_beta_past_float_range(q, mode):
-    # a_1 = q 2^-1e308 and every later term is smaller still: no OverflowError
+    # a_1 = q 2^-1e308 and every later term is smaller still: no OverflowError,
+    # and an enclosure of the tail below ulp(0) at every ratio
     enc = series_sum(KernelSpec((), TailModel.parametric(1.0, q, 1e308, 1e308)), mode)
-    assert enc.contains(0.0) or enc.status == "unknown"
+    assert enc.contains(0.0) and enc.width < 1e-300
+
+
+@pytest.mark.parametrize("mode", ["first_moment", "first_moment_abs"])
+@pytest.mark.parametrize(
+    "n, q", [(418, 0.9990968348423492), (37, 0.9982309884126499), (1151, 0.9941017058689159)]
+)
+def test_geometric_first_moment_closed_form_after_long_prefix(n, q, mode):
+    # Sum_{i>n} i q^i = q^(n+1) ((n+1)(1-q) + q) / (1-q)^2: the form
+    # m - (m-1) q of the bracket cancels for q near 1, by about min(m, 1/(1-q))
+    k = KernelSpec((0.0,) * n, TailModel.parametric(1.0, q))
+    with mpmath.workdps(50):
+        r, m = mpmath.mpf(q), n + 1
+        assert _holds(series_sum(k, mode), r**m * (m * (1 - r) + r) / (1 - r) ** 2)
 
 
 def test_series_alternating_conditional_unknown_at_tight_precision():
@@ -763,8 +786,14 @@ def _tight(enc, precision) -> bool:
 
 @st.composite
 def _tail_case(draw, branch, modes=tuple(_MODES)):
-    """(kernel, mode) with mode in ``modes``, whose tail enclosure takes ``branch``."""
+    """(kernel, mode) with mode in ``modes``, whose tail enclosure takes ``branch``.
+
+    A quarter of the draws take a prefix of up to 2,000 entries, mostly zeros,
+    so that the tail starts late.
+    """
     prefix = tuple(draw(st.lists(st.floats(-4.0, 4.0), max_size=3)))
+    if draw(st.integers(0, 3)) == 0:
+        prefix += (0.0,) * draw(st.integers(0, 2000))
     # subnormal, tiny, ordinary and huge scales
     c = draw(st.sampled_from([5e-324, 3e-310, 1e-200, 1e-9, 1.0, 40.0, 1e300])) * draw(st.sampled_from([1.0, -1.0, 0.7]))
     if branch == "closed_geometric":
@@ -854,6 +883,35 @@ def test_first_moment_with_growing_factor_contains_mpmath_value(alpha, s):
     for precision in (1e-6, 1e-12):
         enc = series_sum(k, "first_moment", precision)
         assert enc.is_finite and _holds(enc, value) and _tight(enc, precision)
+
+
+def test_libm_within_one_ulp():
+    # kernel._gamma counts a pow, exp or log as two roundings, which holds when
+    # each is within one ulp of the exact value; drawn over the ranges the tail
+    # code uses: q^i, i^alpha, the exp of log R(m) and the logs in it
+    rng = np.random.default_rng(53)
+    n = 1000
+    q = np.copysign(1.0 - 10.0 ** rng.uniform(-8.0, math.log10(0.95), n), rng.uniform(-1.0, 1.0, n))
+    i = np.round(10.0 ** rng.uniform(0.0, math.log10(6e6), n))
+    alpha = rng.uniform(0.0, 6.0, n)
+    e = rng.uniform(-745.0, 709.0, n)
+    x = 10.0 ** rng.uniform(-308.0, 308.0, n)
+    y = np.concatenate([-rng.uniform(0.05, 1.0, n // 2), 10.0 ** rng.uniform(-8.0, 15.9, n - n // 2)])
+    mp = mpmath.mpf
+    with mpmath.workdps(60):
+        qi = [mp(a) ** int(b) for a, b in zip(q, i)]
+        cases = [
+            (np.power(q, i), qi),
+            ([math.pow(a, b) for a, b in zip(q, i)], qi),
+            (np.power(i, alpha), [mp(a) ** mp(b) for a, b in zip(i, alpha)]),
+            ([math.pow(a, -b) for a, b in zip(i, alpha)], [mp(a) ** -mp(b) for a, b in zip(i, alpha)]),
+            ([math.exp(v) for v in e], [mpmath.exp(mp(v)) for v in e]),
+            ([math.log(v) for v in x], [mpmath.log(mp(v)) for v in x]),
+            ([math.log1p(v) for v in y], [mpmath.log1p(mp(v)) for v in y]),
+        ]
+        for got, exact in cases:
+            for g, r in zip(got, exact):
+                assert abs(mp(float(g)) - r) <= math.ulp(float(r)), (g, r)
 
 
 def test_power_series_value_covers_rounded_ratio():
