@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charfun import (
-    _MAX_DEGREE,
     NonConvergence,
     RootSet,
     _circle_modulus,
@@ -30,8 +29,12 @@ from .charfun import (
     pn_roots,
 )
 from .kernel import (
+    _MAX_DEGREE,
+    _MAX_GRID_POINTS,
+    _MAX_STEPS,
     KernelSpec,
     SumEnclosure,
+    _require,
     _value_upper_bound,
     kernel_id,
     power_series_value,
@@ -41,7 +44,6 @@ from .kernel import (
     tail_abs_sum,
 )
 from .simulate import (
-    _MAX_STEPS,
     BOUNDED_NON_DECAYING,
     DECAYING,
     INCONCLUSIVE,
@@ -88,8 +90,6 @@ _AXIS_PRECISION = 1e-10
 # before the marginal heuristic gives up (zeros of s_n inside 1 - 1e-6)
 _MARGINAL_ROOT_SLACK = 1.0 / (1.0 - 1e-6)
 _CIRCLE_NEAR_ZERO = 0.05
-# most grid points of the real-axis and circle scans
-_MAX_GRID_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,7 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     which anchors the bracket; the verdict and witness are those of a scan
     that encloses a(t) at every grid point.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     span = min(1.0, radius_of_convergence(kernel))
     grid = np.linspace(0.0, span, grid_points // 2 + 2)[1:-1]
     bound = _value_upper_bound(kernel, grid)
@@ -217,6 +216,7 @@ class _Analysis:
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
     characteristic function to stay root-free on the closed unit disk."""
+    _require("n", n, 1, _MAX_DEGREE)
     return _rouche_stable(_Analysis(kernel), n)
 
 
@@ -244,6 +244,7 @@ def _rouche_stable(analysis: _Analysis, n: int) -> Certificate:
 def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     """Truncation with r_n > 1 plus a small tail pushes a root inside the
     disk: cheap E-bounds first, the maximized delta profile as backup."""
+    _require("n", n, 1, _MAX_DEGREE)
     return _rouche_unstable(_Analysis(kernel), n)
 
 
@@ -279,8 +280,8 @@ def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 40
     disk, and isolated near-zeros of |s_n| on the circle growing linearly in
     their grid neighborhoods (the order-one signature) suggest plain
     stability.  Never rigorous: zero order is not certified numerically."""
-    if n < 16:
-        raise ValueError("n must be >= 16")
+    _require("n", n, 16, _MAX_DEGREE)
+    _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     return _marginal_stable(_Analysis(kernel, grid_points), n)
 
 
@@ -290,11 +291,6 @@ def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
     if analysis.axis.fired:
         return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
-    found = analysis.roots(n)
-    if isinstance(found, NonConvergence):
-        return _na("MarginalStable", HEURISTIC, reason=str(found))
-    if found.r_n > _MARGINAL_ROOT_SLACK:
-        return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
     g = analysis.grid_points
     theta, z, vals = _circle_modulus(analysis.kernel, n, g)
     left = np.roll(vals, 1)
@@ -318,6 +314,12 @@ def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
                 profile=[m0, float(m1), float(m2)],
             )
         zeros.append({"theta": float(theta[i]), "re": float(z[i].real), "im": float(z[i].imag), "value": m0})
+    # the roots of p_n last: they cost most, and the circle checks decline most kernels
+    found = analysis.roots(n)
+    if isinstance(found, NonConvergence):
+        return _na("MarginalStable", HEURISTIC, reason=str(found))
+    if found.r_n > _MARGINAL_ROOT_SLACK:
+        return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
     return Certificate(STABLE, "MarginalStable", HEURISTIC, {"circle_zeros": zeros, "degree": n})
 
 
@@ -369,18 +371,9 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     ``solve``, which it calls itself when R < 1).  When R < 1 the Rouche
     criteria decline without computing any roots: L_n is divergent at every n.
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    if max_degree > _MAX_DEGREE:
-        raise ValueError(f"max_degree must be <= {_MAX_DEGREE}")
-    if steps < 100:
-        raise ValueError("steps must be >= 100")
-    if steps > _MAX_STEPS:
-        raise ValueError(f"steps must be <= {_MAX_STEPS}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if grid_points > _MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be <= {_MAX_GRID_POINTS}")
+    _require("max_degree", max_degree, 1, _MAX_DEGREE)
+    _require("steps", steps, 100, _MAX_STEPS)
+    _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     attempts: list[dict] = []
     analysis = _Analysis(kernel, grid_points)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, terms
+from .kernel import _MAX_DEGREE, _MAX_GRID_POINTS, KernelSpec, _require, terms
 
 __all__ = [
     "RootSet",
@@ -33,8 +33,6 @@ __all__ = [
 
 _RESIDUAL_LIMIT = 1e-8
 _UNIT_TOL = 1e-9  # |z| counts as on the unit circle within this
-# highest degree pn_roots takes: its companion matrix has n^2 entries
-_MAX_DEGREE = 2000
 
 
 class NonConvergence(RuntimeError):
@@ -95,8 +93,7 @@ def pn_coefficients(kernel: KernelSpec, n: int) -> np.ndarray:
 
 def partial_sum_eval(kernel: KernelSpec, n: int, z: complex) -> complex:
     """Horner evaluation of s_n(z) = 1 - sum_{k=1..n} a_k z^k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require("n", n, 1)
     return complex(np.polyval(sn_coefficients(kernel, n), z))
 
 
@@ -138,10 +135,7 @@ def pn_roots(kernel: KernelSpec, n: int) -> RootSet:
     Raises NonConvergence when the polished residual exceeds the contract
     bound; callers must treat that as certificate-not-applicable.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _MAX_DEGREE:
-        raise ValueError(f"n must be <= {_MAX_DEGREE}")
+    _require("n", n, 1, _MAX_DEGREE)
     coeffs = pn_coefficients(kernel, n)
     if not np.all(np.isfinite(coeffs)):
         raise NonConvergence(f"p_{n} coefficients exceed float range")
@@ -216,10 +210,8 @@ def _circle_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[np.nd
 
 def circle_min_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[float, complex]:
     """Minimum of |s_n| over a uniform grid on the unit circle, with argmin."""
-    if grid_points < 16:
-        raise ValueError("grid_points must be >= 16")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require("grid_points", grid_points, 16, _MAX_GRID_POINTS)
+    _require("n", n, 1)
     _, z, vals = _circle_modulus(kernel, n, grid_points)
     i = int(np.argmin(vals))
     return float(vals[i]), complex(z[i])

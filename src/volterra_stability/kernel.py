@@ -48,6 +48,17 @@ _TERM_BUDGET = 6_000_000
 _CHUNK = 65_536
 # the least integer that float() cannot convert: indices stay below it
 _FLOAT_END = 2**1024 - 2**970
+_MAX_DEGREE = 2000  # highest degree of p_n: its companion matrix has n^2 entries
+_MAX_STEPS = 2**24  # most steps either solver runs: 2^24 values take 128 MiB per array
+_MAX_GRID_POINTS = 2**22  # most grid points of the real-axis and circle scans
+
+
+def _require(name: str, value: int, lo: int, hi: float = math.inf) -> None:
+    """The one range check on size arguments: ValueError unless lo <= value <= hi."""
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if value > hi:
+        raise ValueError(f"{name} must be <= {hi}")
 
 
 class KernelFormatError(ValueError):
@@ -502,8 +513,7 @@ def series_sum(kernel: KernelSpec, mode: str = "plain", precision: float = 1e-12
 
 def tail_abs_sum(kernel: KernelSpec, n: int, precision: float = 1e-12) -> SumEnclosure:
     """Certified enclosure of L_n = Sum_{i>n} |a_i|."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require("n", n, 0)
     return _sum_past(kernel, n, 0, True, precision)
 
 
@@ -637,16 +647,17 @@ def kernel_to_dict(kernel: KernelSpec) -> dict:
     return {"prefix": list(kernel.prefix), "tail": tail}
 
 
-def loads_kernel(text: str) -> KernelSpec:
+def loads_kernel(text: str | bytes) -> KernelSpec:
+    # invalid UTF-8 or JSON, an integer literal past the digit limit, nesting past the recursion limit
     try:
-        data = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer literal past the digit limit
+        data = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
         raise KernelFormatError(f"invalid JSON: {e}") from e
     return kernel_from_dict(data)
 
 
 def load_kernel(path) -> KernelSpec:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         return loads_kernel(f.read())
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, TailModel, kernel_id, radius_of_convergence, terms
+from .kernel import _MAX_STEPS, KernelSpec, TailModel, _require, kernel_id, radius_of_convergence, terms
 
 __all__ = [
     "Thresholds",
@@ -52,8 +52,6 @@ _DOT_CHUNK = 8192
 # rescale the reduced trajectory when it drifts this deep into the exponent range
 _RENORM_LIMIT = 2.0 ** -600
 _RENORM_FACTOR = 2.0 ** 600
-# most steps either solver runs: 2^24 values take 128 MiB per array
-_MAX_STEPS = 2**24
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,7 @@ def _reversed_coeffs(a: np.ndarray) -> np.ndarray:
 
 def _limit(steps: int, x0: float, thresholds: Thresholds | None) -> float:
     """Check the arguments both solvers share; return the stop limit."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if steps > _MAX_STEPS:
-        raise ValueError(f"steps must be <= {_MAX_STEPS}")
+    _require("steps", steps, 1, _MAX_STEPS)
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
     return 10.0 * (thresholds or Thresholds()).unbounded_cutoff

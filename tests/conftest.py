@@ -6,7 +6,10 @@ from hypothesis import settings
 
 from volterra_stability import KernelSpec, TailModel, series_sum, term
 
-settings.register_profile("suite", max_examples=50, deadline=None)
+# tier-1 checks the same examples on every run; "explore" draws new ones from
+# --hypothesis-seed, for a wider search than one fixed set of examples
+settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
+settings.register_profile("explore", settings.get_profile("suite"), derandomize=False)
 settings.load_profile("suite")
 
 

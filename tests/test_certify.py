@@ -23,14 +23,18 @@ from volterra_stability import (
     NonConvergence,
     TailModel,
     certify,
+    circle_min_modulus,
     classify,
     kernel_from_dict,
+    partial_sum_eval,
+    pn_roots,
     power_series_value,
     radius_of_convergence,
     report_to_dict,
     series_sum,
     solve,
     solve_fast,
+    tail_abs_sum,
     term,
     test_absolute_sum as check_absolute_sum,
     test_efp as check_efp,
@@ -407,11 +411,24 @@ def test_marginal_double_circle_zero_not_applicable():
     assert cert.witness["profile"] == pytest.approx([0.0, 2.353e-6, 9.412e-6], rel=1e-3, abs=1e-18)
 
 
-def test_marginal_root_failure_not_applicable():
-    # p_200's roots near 1e50 overflow the residual
-    cert = check_marginal_stable(KernelSpec((0.0, -1e100), TailModel.zero()))
+def test_marginal_root_failure_not_applicable(monkeypatch):
+    # the roots come last: alternating_cubic passes every circle check, then p_200 fails
+    def fail(kernel, n):
+        raise NonConvergence(f"residual nan above 1e-08 for p_{n}")
+
+    monkeypatch.setattr(certify_mod, "pn_roots", fail)
+    cert = check_marginal_stable(alternating_cubic_kernel())
     assert cert.verdict == NOT_APPLICABLE
-    assert cert.witness["reason"] == "residual nan above 1e-08 for p_200"
+    assert cert.witness == {"reason": "residual nan above 1e-08 for p_200"}
+
+
+def test_marginal_truncation_root_inside_disk_not_applicable():
+    # s(z) = (1 - z)(1 + 1.5625 z^2): a simple zero at z = 1 passes the circle
+    # checks, and the zeros +-0.8i inside the disk give r_n = 1.25
+    cert = check_marginal_stable(KernelSpec((1.0, -1.5625, 1.5625), TailModel.zero()))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness["reason"] == "truncation root inside the unit disk"
+    assert cert.witness["r_n"] == pytest.approx(1.25, rel=1e-12)
 
 
 def _circle_pair(center):
@@ -500,6 +517,45 @@ def test_certify_validates_arguments():
         certify(renewal_kernel(), max_degree=0)
     with pytest.raises(ValueError):
         certify(renewal_kernel(), steps=50)
+
+
+# every public function that sizes its work: (id, argument name, call with the
+# argument's value v, least value, cap or None)
+_SIZE_ARGUMENTS = [
+    ("certify", "max_degree", lambda k, v: certify(k, max_degree=v), 1, 2000),
+    ("certify", "steps", lambda k, v: certify(k, steps=v), 100, 2**24),
+    ("certify", "grid_points", lambda k, v: certify(k, grid_points=v), 2, 2**22),
+    ("real_axis", "grid_points", check_real_axis_root, 2, 2**22),
+    ("marginal", "n", check_marginal_stable, 16, 2000),
+    ("marginal", "grid_points", lambda k, v: check_marginal_stable(k, 200, v), 2, 2**22),
+    ("rouche_stable", "n", check_rouche_stable, 1, 2000),
+    ("rouche_unstable", "n", check_rouche_unstable, 1, 2000),
+    ("pn_roots", "n", pn_roots, 1, 2000),
+    ("partial_sum_eval", "n", lambda k, v: partial_sum_eval(k, v, 0.5), 1, None),
+    ("circle", "grid_points", lambda k, v: circle_min_modulus(k, 8, v), 16, 2**22),
+    ("circle", "n", lambda k, v: circle_min_modulus(k, v, 64), 1, None),
+    ("solve", "steps", solve, 1, 2**24),
+    ("solve_fast", "steps", solve_fast, 1, 2**24),
+    ("tail_abs_sum", "n", tail_abs_sum, 0, None),
+]
+
+
+@pytest.mark.parametrize("kernel", [small_radius_unstable_kernel(), renewal_kernel()], ids=["R<1", "renewal"])
+@pytest.mark.parametrize(
+    "name, call, value, message",
+    [
+        case
+        for fid, name, call, lo, hi in _SIZE_ARGUMENTS
+        for case in [pytest.param(name, call, lo - 1, f"{name} must be >= {lo}", id=f"{fid}-{name}-low")]
+        + ([pytest.param(name, call, hi + 1, f"{name} must be <= {hi}", id=f"{fid}-{name}-high")] if hi else [])
+    ],
+)
+def test_size_argument_out_of_range_raises_on_every_kernel(kernel, name, call, value, message):
+    # checked before any work: the R < 1 shortcut of the Rouche criteria and the
+    # early declines of MarginalStable do not make a size valid
+    with pytest.raises(ValueError) as e:
+        call(kernel, value)
+    assert str(e.value) == message
 
 
 def test_certify_deterministic():

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from volterra_stability import KernelSpec, TailModel, dumps_kernel, pn_roots
 from volterra_stability.cli import main
@@ -140,6 +143,93 @@ def test_number_beyond_float_range_exit_two(tmp_path, capsys, text, field):
     bad.write_text(text)
     assert main(["certify", "--kernel", str(bad)]) == 2
     assert field in capsys.readouterr().err
+
+
+_KERNEL_COMMANDS = [
+    ["certify", "--max-degree", "4", "--steps", "200", "--grid-points", "64"],
+    ["simulate", "--steps", "50"],
+    ["simulate", "--fast", "--steps", "50"],
+    ["roots", "--n", "4"],
+]
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("command", _KERNEL_COMMANDS, ids=["certify", "simulate", "simulate-fast", "roots"])
+@pytest.mark.parametrize(
+    "data",
+    [_DEEP, b"\xff" + dumps_kernel(renewal_kernel()).encode()],
+    ids=["deep-nesting", "not-utf8"],
+)
+def test_unparsable_kernel_file_exit_two(tmp_path, capsys, command, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main([*command, "--kernel", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("kernel error: ")
+
+
+def _edge_kernel_file():
+    """Schema-valid kernels at the edges: q = +-1, q = 1e300, subnormal c,
+    alpha + beta past float range, prefix entries near 1.7e308."""
+    number = st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308])
+    exponent = st.sampled_from([0.0, 1.0, 2.5, 5e-324, 1e300, 1.7e308])
+    parametric = st.fixed_dictionaries(
+        {"kind": st.just("parametric"), "c": number, "q": number, "alpha": exponent, "beta": exponent}
+    )
+    tail = st.just({"kind": "zero"}) | parametric
+    kernel = st.fixed_dictionaries({"prefix": st.lists(number, max_size=3), "tail": tail})
+    return kernel.map(lambda d: json.dumps(d).encode())
+
+
+def _malformed_kernel_file():
+    """Truncated JSON, wrong types, deep nesting, NaN and 1e999 literals, bytes that are not UTF-8."""
+    valid = _edge_kernel_file()
+    truncated = st.builds(lambda text, cut: text[: cut % len(text)], valid, st.integers(0, 200))
+    wrong_type = st.sampled_from(
+        [
+            b"[]",
+            b'"kernel"',
+            b"null",
+            b'{"prefix": "1.0", "tail": {"kind": "zero"}}',
+            b'{"prefix": [true], "tail": {"kind": "zero"}}',
+            b'{"prefix": [[1.0]], "tail": {"kind": "zero"}}',
+            b'{"prefix": [], "tail": []}',
+            b'{"prefix": [], "tail": {"kind": 3}}',
+            b'{"prefix": [], "tail": {"kind": "parametric", "c": null, "q": 0.5, "alpha": 0, "beta": 0}}',
+            b'{"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": "0.5", "alpha": 0, "beta": 0}}',
+        ]
+    )
+    depth = st.sampled_from([10, 1_000, 100_000])
+    nested = depth.map(lambda d: b"[" * d + b"]" * d) | depth.map(lambda d: b'{"prefix": ' * d + b"0" + b"}" * d)
+    literal = st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"])
+    spot = st.sampled_from(
+        [
+            b'{"prefix": [%s], "tail": {"kind": "zero"}}',
+            b'{"prefix": [], "tail": {"kind": "parametric", "c": %s, "q": 0.5, "alpha": 0, "beta": 0}}',
+            b'{"prefix": [], "tail": {"kind": "parametric", "c": 1, "q": 0.5, "alpha": %s, "beta": 0}}',
+        ]
+    )
+    nonfinite = st.builds(lambda form, lit: form % lit, spot, literal)
+    bad_byte = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])
+    not_utf8 = st.builds(lambda text, i, b: text[:i] + b + text[i:], valid, st.integers(0, 200), bad_byte)
+    return truncated | wrong_type | nested | nonfinite | not_utf8
+
+
+@settings(max_examples=150)
+@example(data=_DEEP)
+@given(data=_edge_kernel_file() | _malformed_kernel_file())
+def test_cli_on_any_kernel_file_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    # 0 a report, 2 a usage or kernel error, 3 root finding that failed: nothing
+    # escapes main, a numpy warning included (pyproject's filterwarnings)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    for command in _KERNEL_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, "--kernel", str(path)])
+        assert code in (0, 2, 3)
+        assert code == 0 or len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
