@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _MAX_DEGREE, _MAX_GRID_POINTS, KernelSpec, _require, terms
+from .kernel import _MAX_DEGREE, _MAX_GRID_POINTS, _MAX_STEPS, KernelSpec, _require, terms
 
 __all__ = [
     "RootSet",
@@ -79,6 +79,7 @@ class EBound:
 
 def sn_coefficients(kernel: KernelSpec, n: int) -> np.ndarray:
     """np.polyval-ready coefficients of s_n(z), highest power first."""
+    _require("n", n, 0, _MAX_STEPS)
     a = terms(kernel, n)
     coeffs = np.empty(n + 1)
     coeffs[:n] = -a[1:][::-1]

@@ -17,6 +17,7 @@ import bisect
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +55,9 @@ _MAX_GRID_POINTS = 2**22  # most grid points of the real-axis and circle scans
 
 
 def _require(name: str, value: int, lo: int, hi: float = math.inf) -> None:
-    """The one range check on size arguments: ValueError unless lo <= value <= hi."""
+    """The one range check on size arguments: ValueError unless value is an integer and lo <= value <= hi."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
     if value < lo:
         raise ValueError(f"{name} must be >= {lo}")
     if value > hi:
@@ -178,6 +181,7 @@ def term(kernel: KernelSpec, n: int) -> float:
 
 def terms(kernel: KernelSpec, count: int) -> np.ndarray:
     """Vector of a_0..a_count with a_0 = 0 (index k holds a_k)."""
+    _require("count", count, 0, max(_MAX_STEPS, len(kernel.prefix)))
     out = np.zeros(count + 1)
     npre = min(len(kernel.prefix), count)
     out[1 : npre + 1] = kernel.prefix[:npre]
@@ -238,7 +242,6 @@ def _explicit(c: float, q: float, alpha: float, beta: float, i: np.ndarray, weig
 # tail series enclosures
 #
 # All routines below bound Sum_{i>=start} i^w * c * q^i / (i^alpha (i+1)^beta).
-# "absolute" replaces every term by its absolute value first.
 
 _ZERO = SumEnclosure.finite(0.0, 0.0)
 
@@ -255,11 +258,7 @@ def _pad(lo: float, hi: float, dirt: float) -> SumEnclosure:
     return SumEnclosure("finite", lo, hi)
 
 
-def _tail_enclosure(
-    c: float, q: float, alpha: float, beta: float, start: int, weight: int, absolute: bool, precision: float
-) -> SumEnclosure:
-    if absolute:
-        c, q = abs(c), abs(q)
+def _tail_enclosure(c: float, q: float, alpha: float, beta: float, start: int, weight: int, precision: float) -> SumEnclosure:
     if c == 0.0 or q == 0.0:
         return _ZERO
     aq = abs(q)
@@ -308,15 +307,9 @@ def _tail_enclosure(
                 return math.inf
             return log_c + (weight - alpha) * math.log(m + 1) - beta * math.log(m + 2)
 
-    else:
-        # geometric domination: the polynomial factor frozen at its value at m+1
-        log_q, log_1q = math.log(aq), math.log1p(-aq)
-
+    else:  # geometric domination
         def log_rem(m):
-            geo = (m + 1) * log_q - log_1q
-            if weight:
-                geo += math.log1p(m * (1.0 - aq)) - log_1q
-            return log_c + geo - alpha * math.log(m + 1) - beta * math.log(m + 2)
+            return _log_dominated(log_c, aq, alpha, beta, weight, m)
 
     return _bracketed(c, q, alpha, beta, start, weight, precision, log_rem)
 
@@ -420,6 +413,16 @@ def _em_integral(a: float, b: float, n: int) -> tuple[list[float], float]:
         h *= (a + k) / ((k + 1) * (n + 1))
         k += 1
     return weights, math.inf
+
+
+def _log_dominated(log_c: float, aq: float, alpha: float, beta: float, weight: int, m: int) -> float:
+    """log of a bound on Sum_{i>m} e^log_c i^weight aq^i / (i^alpha (i+1)^beta), 0 < aq < 1:
+    geometric domination, the polynomial factor frozen at its value at m+1."""
+    log_1q = math.log1p(-aq)
+    geo = (m + 1) * math.log(aq) - log_1q
+    if weight:
+        geo += math.log1p(m * (1.0 - aq)) - log_1q
+    return log_c + geo - alpha * math.log(m + 1) - beta * math.log(m + 2)
 
 
 def _stop_index(bound, first: int, target: float, last: int) -> int | None:
@@ -526,8 +529,9 @@ def _sum_past(kernel: KernelSpec, n: int, weight: int, absolute: bool, precision
     parts = [v * i**weight for i, v in vals]
     exact = sum(Fraction(v) * i for i, v in vals) if weight else sum(map(Fraction, parts))
     t = kernel.tail
+    c, q = (abs(t.c), abs(t.q)) if absolute else (t.c, t.q)
     start = max(n, len(kernel.prefix)) + 1
-    return _add(parts, _tail_enclosure(t.c, t.q, t.alpha, t.beta, start, weight, absolute, precision), exact)
+    return _add(parts, _tail_enclosure(c, q, t.alpha, t.beta, start, weight, precision), exact)
 
 
 def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -> SumEnclosure:
@@ -553,7 +557,7 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
     bar = abs(ratio) * (1.0 + _gamma(1))
     if bar >= 1.0:
         return SumEnclosure.unknown()
-    enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, False, precision)
+    enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, len(kernel.prefix) + 1, 0, precision)
     parts = (v * t ** (i + 1) for i, v in enumerate(kernel.prefix))
     return _add(parts, enc, slack=lost + abs(tm.c) * (_gamma(8) * bar + math.ulp(0.0)) / (1.0 - bar) ** 2)
 
@@ -566,20 +570,20 @@ def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
     of Horner (gamma_2K) and of the final additions with room to spare (a
     float filter, not an enclosure, so it reads no _gamma), plus (K + 1)(|c| + 2)
     times the smallest subnormal for terms that underflow.  The rest is at most
-    E (|t|/g)^(K+1) with E = Sum_{k>K} |a_k| g^k certified at the grid's far
-    end g.  Entries are inf or nan where the coefficients or E leave float
-    range, so those points count as candidates.
+    E (|t|/g)^(K+1), E >= Sum_{k>K} |a_k| g^k at the grid's far end g by
+    geometric domination.  Entries are inf or nan where the coefficients or the
+    Horner sums leave float range or log E >= 709: those points are candidates.
     """
     k_max = max(kernel.prefix_len, 512)
     coef = terms(kernel, k_max)[::-1]
     g = float(grid[-1])
     tm = kernel.tail
     far = 0.0
-    if tm.q != 0.0:
-        # the ratio rounded up bounds every term of the true tail from above
+    if tm.q != 0.0 and tm.c != 0.0:
+        # the ratio rounded up bounds the true tail's terms; log 1/(1 - ratio) < 37, so _bracketed's pad holds
         ratio = math.nextafter(abs(tm.q) * g, math.inf)
-        enc = _tail_enclosure(tm.c, ratio, tm.alpha, tm.beta, k_max + 1, 0, True, 1e-12)
-        far = enc.hi if enc.is_finite else math.inf
+        log_far = _log_dominated(math.log(abs(tm.c)), ratio, tm.alpha, tm.beta, 0, k_max)
+        far = math.exp(log_far) * (1.0 + 1e-10) if log_far < 709.0 else math.inf
     with np.errstate(all="ignore"):
         val = np.polyval(coef, np.stack([grid, -grid]))
         mag = np.polyval(np.abs(coef), grid)

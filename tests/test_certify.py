@@ -36,6 +36,7 @@ from volterra_stability import (
     solve_fast,
     tail_abs_sum,
     term,
+    terms,
     test_absolute_sum as check_absolute_sum,
     test_efp as check_efp,
     test_marginal_stable as check_marginal_stable,
@@ -43,6 +44,7 @@ from volterra_stability import (
     test_rouche_stable as check_rouche_stable,
     test_rouche_unstable as check_rouche_unstable,
 )
+from volterra_stability.charfun import pn_coefficients, sn_coefficients
 
 from conftest import (
     alternating_cubic_kernel,
@@ -531,12 +533,16 @@ _SIZE_ARGUMENTS = [
     ("rouche_stable", "n", check_rouche_stable, 1, 2000),
     ("rouche_unstable", "n", check_rouche_unstable, 1, 2000),
     ("pn_roots", "n", pn_roots, 1, 2000),
-    ("partial_sum_eval", "n", lambda k, v: partial_sum_eval(k, v, 0.5), 1, None),
+    ("partial_sum_eval", "n", lambda k, v: partial_sum_eval(k, v, 0.5), 1, 2**24),
     ("circle", "grid_points", lambda k, v: circle_min_modulus(k, 8, v), 16, 2**22),
-    ("circle", "n", lambda k, v: circle_min_modulus(k, v, 64), 1, None),
+    ("circle", "n", lambda k, v: circle_min_modulus(k, v, 64), 1, 2**24),
     ("solve", "steps", solve, 1, 2**24),
     ("solve_fast", "steps", solve_fast, 1, 2**24),
     ("tail_abs_sum", "n", tail_abs_sum, 0, None),
+    # the kernels here have no prefix, so terms' cap max(2^24, N) is 2^24
+    ("terms", "count", terms, 0, 2**24),
+    ("sn_coefficients", "n", sn_coefficients, 0, 2**24),
+    ("pn_coefficients", "n", pn_coefficients, 0, 2**24),
 ]
 
 
@@ -556,6 +562,41 @@ def test_size_argument_out_of_range_raises_on_every_kernel(kernel, name, call, v
     with pytest.raises(ValueError) as e:
         call(kernel, value)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("kernel", [small_radius_unstable_kernel(), renewal_kernel()], ids=["R<1", "renewal"])
+@pytest.mark.parametrize(
+    "name, call, value",
+    [
+        pytest.param(name, call, value, id=f"{fid}-{name}-{value}")
+        for fid, name, call, lo, _ in _SIZE_ARGUMENTS
+        for value in (lo + 1.5, math.nan, float(lo + 1))
+    ],
+)
+def test_size_argument_not_an_integer_raises(kernel, name, call, value):
+    # pn_roots(k, 2.5) ended in numpy's TypeError, and NaN passed both range
+    # comparisons: certify(k, steps=nan) returned a report
+    with pytest.raises(ValueError) as e:
+        call(kernel, value)
+    assert str(e.value) == f"{name} must be an integer"
+
+
+def test_size_argument_accepts_numpy_integers():
+    k = renewal_kernel()
+    assert pn_roots(k, np.int64(3)).roots == pn_roots(k, 3).roots
+    assert np.array_equal(terms(k, np.int32(5)), terms(k, 5))
+    assert np.array_equal(solve(k, np.uint16(50)).values, solve(k, 50).values)
+
+
+def test_terms_cap_grows_with_the_prefix(monkeypatch):
+    # the prefix is already in memory, so terms reads all of it past the cap
+    monkeypatch.setattr(kernel_mod, "_MAX_STEPS", 4)
+    k = KernelSpec((1.0,) * 6, TailModel.zero())
+    assert terms(k, 6).tolist() == [0.0] + [1.0] * 6
+    with pytest.raises(ValueError, match=r"^count must be <= 6$"):
+        terms(k, 7)
+    with pytest.raises(ValueError, match=r"^count must be <= 4$"):
+        terms(renewal_kernel(), 5)
 
 
 def test_certify_deterministic():

@@ -524,8 +524,9 @@ def test_power_series_outside_radius_unknown():
 
 
 def _value_upper_bound_ref(kernel, grid):
-    """The real-axis float bound as first written: two Horner loops, and the
-    far-end tail through tail_abs_sum of a prefix-free kernel."""
+    """The real-axis float bound written out: two Horner loops, and the far-end
+    tail Sum_{k>K} |c| r^k / (k^alpha (k+1)^beta) bounded by geometric domination,
+    |c| r^(K+1) / (1 - r) with the polynomial factor frozen at K + 1, in log space."""
     k_max = max(kernel.prefix_len, 512)
     a = terms(kernel, k_max)
     g = float(grid[-1])
@@ -533,9 +534,10 @@ def _value_upper_bound_ref(kernel, grid):
     if tm.is_zero or tm.q == 0.0:
         far = 0.0
     else:
-        ratio = math.nextafter(abs(tm.q) * g, math.inf)
-        enc = tail_abs_sum(KernelSpec((), TailModel.parametric(abs(tm.c), ratio, tm.alpha, tm.beta)), k_max)
-        far = enc.hi if enc.is_finite else math.inf
+        r = math.nextafter(abs(tm.q) * g, math.inf)
+        log_far = math.log(abs(tm.c)) + ((k_max + 1) * math.log(r) - math.log1p(-r))
+        log_far = log_far - tm.alpha * math.log(k_max + 1) - tm.beta * math.log(k_max + 2)
+        far = math.exp(log_far) * (1.0 + 1e-10) if log_far < 709.0 else math.inf
     x = np.stack([grid, -grid])
     eps = 2.0 ** -52
     with np.errstate(all="ignore"):
@@ -558,13 +560,29 @@ def test_value_upper_bound_matches_horner_reference(rng):
         KernelSpec((), TailModel.parametric(2.0, 0.0)),  # q = 0: no far-end tail
         KernelSpec((0.5, -0.25), TailModel.zero()),
         KernelSpec(tuple(np.linspace(-1.0, 1.0, 700)), TailModel.parametric(0.3, -0.9, 1.0)),  # N > 512
-        KernelSpec((), TailModel.parametric(1.0, 1.0, 1.0000001)),  # far-end tail unknown
+        KernelSpec((), TailModel.parametric(1.0, 1.0, 1.0000001)),  # no certified far-end tail at 1e-12
     ]
     for k in kernels:
         for points in (2, 130, 4096):
             grid = np.linspace(0.0, min(1.0, radius_of_convergence(k)), points // 2 + 2)[1:-1]
             got = kernel_mod._value_upper_bound(k, grid)
             assert np.array_equal(got, _value_upper_bound_ref(k, grid), equal_nan=True), (k, points)
+            if k is kernels[-1]:
+                assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("name", ["renewal", "small_radius_unstable"])
+def test_value_upper_bound_finite_at_the_finest_grid(name):
+    # the far end of a 2^22-point scan lies 2^-21 inside the radius R, where no
+    # certified far-end tail exists within the term budget; the domination bound
+    # is finite there, and tight enough at R/2 to skip the point
+    k = load_fixture(name)
+    span = min(1.0, radius_of_convergence(k))
+    bound = kernel_mod._value_upper_bound(k, span * np.array([0.5, 1.0 - 2.0**-21]))
+    assert np.isfinite(bound).all()
+    # renewal's a(1/2) = 1 - ln 2, and small_radius_unstable's a(1/4) is half of it
+    exact = (1.0 - math.log(2.0)) * (0.5 if name == "small_radius_unstable" else 1.0)
+    assert exact <= bound[0, 0] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +889,25 @@ def test_power_series_value_contains_mpmath_value(branch, data):
     enc = power_series_value(kernel, t)
     if enc.is_finite:
         assert _holds(enc, _ref_value(kernel, 0, False, t=t))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_geometric_domination_contains_mpmath_tail(data):
+    # the rest bound that _bracketed stops on and the real-axis filter reads:
+    # exp(log R(m)) (1 + 1e-10) >= Sum_{i>m} i^w r^i / (i^alpha (i+1)^beta).
+    # _tail_ref sums directly below r = 0.95 and by polylog for beta = 0, so r
+    # reaches the scan's 1 - 2^-21 only with beta = 0; the exp is mpmath's, so
+    # a bound below float range is checked too
+    beta = data.draw(st.just(0.0) | st.floats(0.0, 4.0))
+    top = 1.0 - 2.0**-21 if beta == 0.0 else 0.949
+    r = data.draw(st.sampled_from([top, 0.5]) | st.floats(2.0**-40, top))
+    alpha = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0))
+    weight = data.draw(st.integers(0, 1))
+    m = data.draw(st.integers(0, 2000))
+    log_rem = kernel_mod._log_dominated(0.0, r, alpha, beta, weight, m)
+    with mpmath.workdps(50):
+        assert mpmath.exp(log_rem) * (1 + mpmath.mpf(1e-10)) >= _tail_ref(r, alpha, beta, weight, m + 1)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.99])
