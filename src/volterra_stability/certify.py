@@ -15,7 +15,6 @@ the inequality's direction.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,12 +191,11 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
 
 
 class _Analysis:
-    """What the criteria of one ``certify`` call share, each computed once: the
-    roots of p_n per degree (or the NonConvergence raised) and the real-axis scan."""
+    """What the criteria of one ``certify`` call share, computed once: the
+    roots of p_n per degree, or the NonConvergence raised."""
 
-    def __init__(self, kernel: KernelSpec, grid_points: int = 4096):
+    def __init__(self, kernel: KernelSpec):
         self.kernel = kernel
-        self.grid_points = grid_points
         self._roots: dict[int, RootSet | NonConvergence] = {}
 
     def roots(self, n: int) -> RootSet | NonConvergence:
@@ -207,10 +205,6 @@ class _Analysis:
             except NonConvergence as e:
                 self._roots[n] = e
         return self._roots[n]
-
-    @functools.cached_property
-    def axis(self) -> Certificate:
-        return test_real_axis_root(self.kernel, self.grid_points)
 
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
@@ -282,16 +276,16 @@ def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 40
     stability.  Never rigorous: zero order is not certified numerically."""
     _require("n", n, 16, _MAX_DEGREE)
     _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
-    return _marginal_stable(_Analysis(kernel, grid_points), n)
+    # certify runs the real-axis scan before it reaches _marginal_stable
+    if test_real_axis_root(kernel, grid_points).fired:
+        return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
+    return _marginal_stable(_Analysis(kernel), n, grid_points)
 
 
-def _marginal_stable(analysis: _Analysis, n: int) -> Certificate:
+def _marginal_stable(analysis: _Analysis, n: int, g: int) -> Certificate:
     moment = series_sum(analysis.kernel, "first_moment_abs", 1e-6)
     if not moment.is_finite:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
-    if analysis.axis.fired:
-        return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
-    g = analysis.grid_points
     theta, z, vals = _circle_modulus(analysis.kernel, n, g)
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
@@ -375,12 +369,12 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     _require("steps", steps, 100, _MAX_STEPS)
     _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     attempts: list[dict] = []
-    analysis = _Analysis(kernel, grid_points)
+    analysis = _Analysis(kernel)
 
     def rigorous():
         yield test_absolute_sum(kernel), {}
         yield test_efp(kernel), {}
-        yield analysis.axis, {}
+        yield test_real_axis_root(kernel, grid_points), {}
         for rouche in (_rouche_stable, _rouche_unstable):
             for n in range(1, max_degree + 1):
                 yield rouche(analysis, n), {"n": n}
@@ -398,7 +392,7 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
         if record(cert, extra):
             break
     else:
-        cert = _marginal_stable(analysis, max(200, max_degree))
+        cert = _marginal_stable(analysis, max(200, max_degree), grid_points)
         record(cert, {})
         traj = solve_fast(kernel, steps)
         emp, summary = classify(traj), _summarize(traj)

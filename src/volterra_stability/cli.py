@@ -14,7 +14,7 @@ import sys
 
 from .certify import Report, certify, report_to_dict
 from .charfun import NonConvergence, pn_roots
-from .fixtures import fixture_names, load_fixture
+from .fixtures import _EXPECTED_FINALS, fixture_names, load_fixture
 from .kernel import KernelFormatError, load_kernel, tail_abs_sum
 from .simulate import solve, solve_fast, trajectory_to_csv
 
@@ -22,20 +22,6 @@ _TABLE_R = {4: 0.913, 5: 0.781, 6: 0.667}
 _TABLE_L = {4: 0.24716, 5: 0.04963, 6: 0.00024}
 _R_TOL = 5e-4
 _L_TOL = 5e-6
-
-# fixture -> (verdict, criterion, rigor)
-_EXPECTED_FINALS = {
-    "renewal": ("asymptotically_stable", "EFP", "rigorous"),
-    "small_radius_unstable": ("unstable", "Empirical", "empirical"),
-    "geometric_null": ("asymptotically_stable", "Empirical", "empirical"),
-    "rouche_stable_pair_plus": ("asymptotically_stable", "RoucheStable", "rigorous"),
-    "rouche_stable_pair_minus": ("asymptotically_stable", "RoucheStable", "rigorous"),
-    "rouche_table": ("asymptotically_stable", "RoucheStable", "rigorous"),
-    "rouche_unstable_pair": ("unstable", "RealAxisRoot", "rigorous"),
-    "alternating_cubic": ("stable", "MarginalStable", "heuristic"),
-    "geometric_half": ("stable", "MarginalStable", "heuristic"),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="volstab", description=__doc__.splitlines()[0])

@@ -1,4 +1,5 @@
-"""Built-in reference kernels shipped as JSON files.
+"""Built-in reference kernels shipped as JSON files, and the final verdict
+that ``reproduce-paper`` pins for each.
 
 These are the sequences exercised throughout the test suite and by the
 ``reproduce-paper`` command: the renewal kernel 1/(n(n+1)), its ratio-2
@@ -16,25 +17,26 @@ from ..kernel import KernelSpec, loads_kernel
 
 __all__ = ["fixture_names", "load_fixture", "fixture_text"]
 
-_NAMES = (
-    "renewal",
-    "small_radius_unstable",
-    "geometric_null",
-    "rouche_stable_pair_plus",
-    "rouche_stable_pair_minus",
-    "rouche_table",
-    "rouche_unstable_pair",
-    "alternating_cubic",
-    "geometric_half",
-)
+# fixture -> the (verdict, criterion, rigor) reproduce-paper expects, in the order it runs them
+_EXPECTED_FINALS = {
+    "renewal": ("asymptotically_stable", "EFP", "rigorous"),
+    "small_radius_unstable": ("unstable", "Empirical", "empirical"),
+    "geometric_null": ("asymptotically_stable", "Empirical", "empirical"),
+    "rouche_stable_pair_plus": ("asymptotically_stable", "RoucheStable", "rigorous"),
+    "rouche_stable_pair_minus": ("asymptotically_stable", "RoucheStable", "rigorous"),
+    "rouche_table": ("asymptotically_stable", "RoucheStable", "rigorous"),
+    "rouche_unstable_pair": ("unstable", "RealAxisRoot", "rigorous"),
+    "alternating_cubic": ("stable", "MarginalStable", "heuristic"),
+    "geometric_half": ("stable", "MarginalStable", "heuristic"),
+}
 
 
 def fixture_names() -> tuple[str, ...]:
-    return _NAMES
+    return tuple(_EXPECTED_FINALS)
 
 
 def fixture_text(name: str) -> str:
-    if name not in _NAMES:
+    if name not in _EXPECTED_FINALS:
         raise KeyError(f"unknown fixture {name!r}")
     return resources.files(__package__).joinpath(f"{name}.json").read_text(encoding="utf-8")
 

@@ -69,7 +69,10 @@ class KernelFormatError(ValueError):
 
 
 def _finite(name: str, v) -> float:
-    """v as a float; KernelFormatError naming the field when it is not finite."""
+    """The one number rule: v as a float, or KernelFormatError naming the field
+    when v is a bool, not a real number, or not finite."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise KernelFormatError(f"{name} must be a number, got {v!r}")
     try:
         f = float(v)
     except OverflowError:
@@ -81,7 +84,10 @@ def _finite(name: str, v) -> float:
 
 @dataclass(frozen=True)
 class TailModel:
-    """Tail law for indices past the prefix: zero, or c*q^n/(n^alpha*(n+1)^beta)."""
+    """Tail law for indices past the prefix: zero, or c*q^n/(n^alpha*(n+1)^beta).
+
+    Checked however it is built: finite real c, q, alpha, beta >= 0, and c = 0 for
+    a zero tail.  c = 0 gives the zero tail, with q = alpha = beta = 0."""
 
     kind: str  # "zero" | "parametric"
     c: float = 0.0
@@ -89,20 +95,25 @@ class TailModel:
     alpha: float = 0.0
     beta: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "parametric"):
+            raise KernelFormatError(f"tail.kind must be 'zero' or 'parametric', got {self.kind!r}")
+        c, q, alpha, beta = (_finite(f"tail.{f}", getattr(self, f)) for f in ("c", "q", "alpha", "beta"))
+        for name, v in (("alpha", alpha), ("beta", beta)):
+            if v < 0:
+                raise KernelFormatError(f"tail.{name} must be >= 0, got {v!r}")
+        if self.kind == "zero" and c != 0.0:
+            raise KernelFormatError(f"tail.c must be 0 for a zero tail, got {c!r}")
+        fields = ("parametric", c, q, alpha, beta) if c else ("zero", 0.0, 0.0, 0.0, 0.0)
+        for name, v in zip(("kind", "c", "q", "alpha", "beta"), fields):
+            object.__setattr__(self, name, v)
+
     @staticmethod
     def zero() -> "TailModel":
         return TailModel("zero")
 
     @staticmethod
     def parametric(c: float, q: float, alpha: float = 0.0, beta: float = 0.0) -> "TailModel":
-        fields = (("c", c), ("q", q), ("alpha", alpha), ("beta", beta))
-        c, q, alpha, beta = (_finite(f"tail.{name}", v) for name, v in fields)
-        if alpha < 0:
-            raise KernelFormatError(f"tail.alpha must be >= 0, got {alpha!r}")
-        if beta < 0:
-            raise KernelFormatError(f"tail.beta must be >= 0, got {beta!r}")
-        if c == 0.0:
-            return TailModel.zero()
         return TailModel("parametric", c, q, alpha, beta)
 
     @property
@@ -169,8 +180,7 @@ class SumEnclosure:
 
 def term(kernel: KernelSpec, n: int) -> float:
     """a_n, with the prefix authoritative for n <= N and the tail beyond."""
-    if n < 1:
-        raise ValueError(f"term index must be >= 1, got {n}")
+    _require("n", n, 1)
     if n <= len(kernel.prefix):
         return kernel.prefix[n - 1]
     if n >= _FLOAT_END:
@@ -259,7 +269,7 @@ def _pad(lo: float, hi: float, dirt: float) -> SumEnclosure:
 
 
 def _tail_enclosure(c: float, q: float, alpha: float, beta: float, start: int, weight: int, precision: float) -> SumEnclosure:
-    if c == 0.0 or q == 0.0:
+    if q == 0.0:
         return _ZERO
     aq = abs(q)
     # fsum rounds once, so s and the q = 1 test carry the exact sign
@@ -579,7 +589,7 @@ def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
     g = float(grid[-1])
     tm = kernel.tail
     far = 0.0
-    if tm.q != 0.0 and tm.c != 0.0:
+    if tm.q != 0.0:
         # the ratio rounded up bounds the true tail's terms; log 1/(1 - ratio) < 37, so _bracketed's pad holds
         ratio = math.nextafter(abs(tm.q) * g, math.inf)
         log_far = _log_dominated(math.log(abs(tm.c)), ratio, tm.alpha, tm.beta, 0, k_max)
@@ -617,32 +627,22 @@ def support_gcd(kernel: KernelSpec) -> int | None:
 
 
 def kernel_from_dict(data: dict) -> KernelSpec:
-    """Parse {"prefix": [...], "tail": {...}}; prefix[0] is a_1."""
+    """Parse {"prefix": [...], "tail": {...}}, prefix[0] is a_1: the structure; the built kernel checks the values."""
     if not isinstance(data, dict):
         raise KernelFormatError("kernel spec must be a JSON object")
     for name in ("prefix", "tail"):
         if name not in data:
             raise KernelFormatError(f"missing field: {name}")
-    prefix = data["prefix"]
-    if not isinstance(prefix, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in prefix):
+    prefix, tail = data["prefix"], data["tail"]
+    if not isinstance(prefix, list):
         raise KernelFormatError("prefix must be an array of numbers")
-    tail = data["tail"]
     if not isinstance(tail, dict) or "kind" not in tail:
         raise KernelFormatError("tail must be an object with a 'kind' field")
-    kind = tail["kind"]
-    if kind == "zero":
-        tm = TailModel.zero()
-    elif kind == "parametric":
-        for f in ("c", "q", "alpha", "beta"):
-            if f not in tail:
-                raise KernelFormatError(f"missing field: tail.{f}")
-            v = tail[f]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise KernelFormatError(f"tail.{f} must be a number, got {v!r}")
-        tm = TailModel.parametric(tail["c"], tail["q"], tail["alpha"], tail["beta"])
-    else:
-        raise KernelFormatError(f"tail.kind must be 'zero' or 'parametric', got {kind!r}")
-    return KernelSpec(tuple(prefix), tm)
+    fields = ("c", "q", "alpha", "beta") if tail["kind"] == "parametric" else ()
+    for f in fields:
+        if f not in tail:
+            raise KernelFormatError(f"missing field: tail.{f}")
+    return KernelSpec(tuple(prefix), TailModel(tail["kind"], *(tail[f] for f in fields)))
 
 
 def kernel_to_dict(kernel: KernelSpec) -> dict:

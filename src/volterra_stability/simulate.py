@@ -20,6 +20,7 @@ whose solution dies after two steps) exactly zero instead of overflowing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,7 +230,10 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         x[lo:hi] = np.convolve(r[: hi - lo], contrib[lo:hi])[: hi - lo]
         return _cut(x[lo - 1 : hi], limit)[1]
 
-    fft_cache: dict[int, tuple[int, np.ndarray]] = {}
+    @functools.cache
+    def a_hat(span: int, nfft: int) -> np.ndarray:
+        # the coefficient slice depends only on the span: its FFT is computed once
+        return np.fft.rfft(a[1:span], nfft)
 
     def cross(lo: int, mid: int, hi: int):
         seg = x[lo:mid]
@@ -237,14 +241,9 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         if seg.shape[0] * (span - 1) <= 65536:
             conv = np.convolve(seg, a[1:span])
         else:
-            # the coefficient slice depends only on the span: cache its FFT
-            cached = fft_cache.get(span)
-            if cached is None:
-                nfft = _fast_len(seg.shape[0] + span - 2)
-                cached = (nfft, np.fft.rfft(a[1:span], nfft))
-                fft_cache[span] = cached
-            nfft, a_hat = cached
-            conv = np.fft.irfft(np.fft.rfft(seg, nfft) * a_hat, nfft)
+            nfft = _fast_len(seg.shape[0] + span - 2)
+            coef = a_hat(span, nfft)  # before seg's transform, which a cache miss would otherwise hold in memory
+            conv = np.fft.irfft(np.fft.rfft(seg, nfft) * coef, nfft)
         contrib[mid:hi] += conv[mid - lo - 1 : hi - lo - 1]
 
     def recurse(lo: int, hi: int) -> bool:

@@ -404,6 +404,14 @@ def test_marginal_rejects_certified_root():
     assert "root" in cert.witness["reason"]
 
 
+def test_marginal_checks_the_real_axis_first():
+    # the public test runs the real-axis scan before anything else, as certify
+    # does before it reaches MarginalStable: this kernel has both a certified
+    # real root and an infinite first absolute moment
+    cert = check_marginal_stable(KernelSpec((2.0,), TailModel.parametric(1.0, 1.0, 1.0)))
+    assert cert.witness == {"reason": "certified real root inside the disk"}
+
+
 def test_marginal_double_circle_zero_not_applicable():
     # s(z) = (1 - z)^2: |s| grows quadratically away from z = 1, not linearly
     cert = check_marginal_stable(KernelSpec((2.0, -1.0), TailModel.zero()))
@@ -539,6 +547,7 @@ _SIZE_ARGUMENTS = [
     ("solve", "steps", solve, 1, 2**24),
     ("solve_fast", "steps", solve_fast, 1, 2**24),
     ("tail_abs_sum", "n", tail_abs_sum, 0, None),
+    ("term", "n", term, 1, None),
     # the kernels here have no prefix, so terms' cap max(2^24, N) is 2^24
     ("terms", "count", terms, 0, 2**24),
     ("sn_coefficients", "n", sn_coefficients, 0, 2**24),
@@ -760,8 +769,8 @@ def test_certify_decision_trace(name):
 
 
 def test_shared_analysis_matches_fresh_calls(monkeypatch, rng):
-    # certify shares roots and the real-axis scan across criteria; each
-    # attempt must still equal the public criterion run with fresh state
+    # certify shares the roots of p_n across criteria; each attempt must
+    # still equal the public criterion run with fresh state
     marginal = []
     inner = certify_mod._marginal_stable
 

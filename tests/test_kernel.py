@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -644,6 +645,10 @@ def test_parse_normalizes_zero_scale():
         ([1], "object"),
         ({"prefix": [], "tail": {}}, "kind"),
         ({"prefix": [], "tail": {"kind": "parametric", "c": "1", "q": 0.5, "alpha": 0.0, "beta": 0.0}}, "tail.c"),
+        # a bad prefix element is named by its index
+        ({"prefix": [0.5, "x"], "tail": {"kind": "zero"}}, "prefix[1] must be a number, got 'x'"),
+        ({"prefix": [True], "tail": {"kind": "zero"}}, "prefix[0] must be a number, got True"),
+        ({"prefix": [[1.0]], "tail": {"kind": "zero"}}, "prefix[0] must be a number, got [1.0]"),
     ],
 )
 def test_parse_rejects_bad_fields(payload, needle):
@@ -674,6 +679,74 @@ def test_numbers_beyond_float_range_rejected(build, field):
     with pytest.raises(KernelFormatError) as err:
         build()
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # had the kernel_id of the zero tail, yet certified RealAxisRoot
+        (lambda: TailModel("zero", 1.0, 0.9), "tail.c must be 0 for a zero tail, got 1.0"),
+        (lambda: TailModel("parametric", math.nan, 0.5), "tail.c must be finite, got nan"),
+        (lambda: TailModel("parametric", 1.0, math.inf), "tail.q must be finite, got inf"),
+        (lambda: TailModel("parametric", 1.0, 0.5, -2.0), "tail.alpha must be >= 0, got -2.0"),
+        (lambda: TailModel("weird", 1.0, 0.5), "tail.kind must be 'zero' or 'parametric', got 'weird'"),
+        (lambda: TailModel("parametric", "1", 0.5), "tail.c must be a number, got '1'"),
+        (lambda: TailModel.parametric(True, 0.5), "tail.c must be a number, got True"),
+        (lambda: TailModel.parametric(1.0, Decimal("0.5")), "tail.q must be a number, got Decimal('0.5')"),
+        (lambda: KernelSpec(("1.5",), TailModel.zero()), "prefix[0] must be a number, got '1.5'"),
+        (lambda: KernelSpec((0.5, True), TailModel.zero()), "prefix[1] must be a number, got True"),
+        (lambda: KernelSpec((None,), TailModel.zero()), "prefix[0] must be a number, got None"),
+    ],
+    ids=["zero-with-c", "nan-c", "inf-q", "negative-alpha", "unknown-kind", "string-c", "bool-c", "decimal-q",
+         "string-prefix", "bool-prefix", "none-prefix"],
+)
+def test_kernel_checks_its_own_fields(build, message):
+    # the parser and the Python API apply the same rules, when a kernel is built
+    with pytest.raises(KernelFormatError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_kernel_fields_accept_real_numbers():
+    k = KernelSpec((np.float32(0.5), np.int64(2), Fraction(1, 4)), TailModel("parametric", Fraction(1, 2), np.float32(0.5), np.int64(1)))
+    assert k == KernelSpec((0.5, 2.0, 0.25), TailModel.parametric(0.5, 0.5, 1.0))
+    assert {type(v) for v in k.prefix + (k.tail.c, k.tail.q, k.tail.alpha, k.tail.beta)} == {float}
+
+
+def test_zero_scale_is_the_zero_tail():
+    # c = 0 is the zero sequence, however the tail is built
+    assert TailModel("parametric", 0.0, 0.5) == TailModel.zero()
+    assert TailModel("parametric", -0.0, 3.0, 1.0, 2.0) == TailModel("zero", 0, 0.9) == TailModel.zero()
+
+
+_ANY_FIELD = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(),
+    st.just(0.0),
+    st.integers(),
+    st.fractions(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.decimals(allow_nan=False),
+)
+
+
+@given(
+    st.lists(_ANY_FIELD, max_size=4),
+    st.sampled_from(["zero", "parametric", "weird"]),
+    _ANY_FIELD,
+    _ANY_FIELD,
+    st.one_of(_ANY_FIELD, st.sampled_from([0.0, 1.0, 2.5])),
+    st.one_of(_ANY_FIELD, st.sampled_from([0.0, 1.0, 2.5])),
+)
+def test_every_buildable_kernel_round_trips(prefix, kind, c, q, alpha, beta):
+    try:
+        k = KernelSpec(tuple(prefix), TailModel(kind, c, q, alpha, beta))
+    except KernelFormatError:
+        return
+    again = loads_kernel(dumps_kernel(k))
+    assert again == k and kernel_id(again) == kernel_id(k)
 
 
 def test_kernel_id_distinguishes():
