@@ -1,8 +1,9 @@
 """The full certificate pipeline on the built-in reference kernels.
 
 Criteria run in a fixed order -- absolute-sum, renewal-theorem, real-axis
-root scan, then the finite-approximation window at increasing degree -- and
-the report keeps every attempt.  A rigorous certificate ends the run; if only
+root scan, then the finite-approximation window at increasing degree, the
+stability and then the instability test at each -- and the report keeps every
+attempt.  A rigorous certificate ends the run; if only
 the heuristic circle-zero test fires, a simulated trajectory is attached as
 corroborating (never overriding) evidence.
 
@@ -15,7 +16,7 @@ from volterra_stability import certify, fixture_names, load_fixture, report_to_d
 
 for name in fixture_names():
     kernel = load_fixture(name)
-    report = certify(kernel, max_degree=6 if name == "rouche_table" else 32, steps=2000)
+    report = certify(kernel, steps=2000)
     print(f"{name:26s} {report.final_verdict:22s} ({report.final_criterion}, {report.final_rigor})")
     if name == "rouche_table":
         attempts = [a for a in report.attempts if a["criterion"] == "RoucheStable"]

@@ -82,9 +82,6 @@ HEURISTIC = "heuristic"
 
 # EFP unit-sum acceptance needs the enclosure at least this tight
 _EFP_SUM_WIDTH = 1e-9
-# target widths of the enclosures of Sum |a_n| and of a(t) on the real axis
-_ABS_SUM_PRECISION = 1e-12
-_AXIS_PRECISION = 1e-10
 # p_n root moduli may poke outside the unit circle by at most this much
 # before the marginal heuristic gives up (zeros of s_n inside 1 - 1e-6)
 _MARGINAL_ROOT_SLACK = 1.0 / (1.0 - 1e-6)
@@ -118,7 +115,7 @@ def _sum_witness(enc: SumEnclosure) -> dict:
 
 def test_absolute_sum(kernel: KernelSpec) -> Certificate:
     """Sum |a_n| < 1 certified by enclosure implies asymptotic stability."""
-    enc = series_sum(kernel, "absolute", _ABS_SUM_PRECISION)
+    enc = series_sum(kernel, "absolute")
     if enc.is_finite and enc.hi < 1.0:
         return Certificate(
             ASYMPTOTICALLY_STABLE,
@@ -170,13 +167,13 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     for points, upper in zip((grid, -grid), bound):
         # b_hi < 0 needs a(t) >= enc.lo > 1, so only points with U > 1 can fire
         for j in np.flatnonzero(~(upper <= 1.0)):
-            enc = power_series_value(kernel, float(points[j]), _AXIS_PRECISION)
+            enc = power_series_value(kernel, float(points[j]))
             if not enc.is_finite or 1.0 - enc.lo >= 0.0:
                 continue
             # anchor: the last point before t with certified b > 0, else b(0) = 1
             anchor = 0.0
             for i in range(j - 1, -1, -1):
-                prev = power_series_value(kernel, float(points[i]), _AXIS_PRECISION)
+                prev = power_series_value(kernel, float(points[i]))
                 if prev.is_finite and 1.0 - prev.hi > 0.0:
                     anchor = float(points[i])
                     break
@@ -190,42 +187,34 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     return _na("RealAxisRoot", reason="no certified sign change", span=span)
 
 
-class _Analysis:
-    """What the criteria of one ``certify`` call share, computed once: the
-    roots of p_n per degree, or the NonConvergence raised."""
-
-    def __init__(self, kernel: KernelSpec):
-        self.kernel = kernel
-        self._roots: dict[int, RootSet | NonConvergence] = {}
-
-    def roots(self, n: int) -> RootSet | NonConvergence:
-        if n not in self._roots:
-            try:
-                self._roots[n] = pn_roots(self.kernel, n)
-            except NonConvergence as e:
-                self._roots[n] = e
-        return self._roots[n]
+def _roots(kernel: KernelSpec, n: int) -> RootSet | NonConvergence | None:
+    """The roots of p_n, or the NonConvergence raised; None when R < 1, where
+    c != 0 and |q| > 1, so L_n diverges at every n and no roots are needed."""
+    if radius_of_convergence(kernel) < 1.0:
+        return None
+    try:
+        return pn_roots(kernel, n)
+    except NonConvergence as e:
+        return e
 
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
     characteristic function to stay root-free on the closed unit disk."""
     _require("n", n, 1, _MAX_DEGREE)
-    return _rouche_stable(_Analysis(kernel), n)
+    return _rouche_stable(kernel, _roots(kernel, n), n)
 
 
-def _rouche_stable(analysis: _Analysis, n: int) -> Certificate:
-    # R < 1: c != 0 and |q| > 1, so L_n diverges at every n and no roots are needed
-    if radius_of_convergence(analysis.kernel) < 1.0:
+def _rouche_stable(kernel: KernelSpec, roots: RootSet | NonConvergence | None, n: int) -> Certificate:
+    if roots is None:
         return _na("RoucheStable", tail_status="divergent", n=n)
-    roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
         return _na("RoucheStable", reason=str(roots), n=n)
     r_up = roots.r_n + roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_up >= 1.0:
         return _na("RoucheStable", **witness)
-    tail = tail_abs_sum(analysis.kernel, n)
+    tail = tail_abs_sum(kernel, n)
     if not tail.is_finite:
         return _na("RoucheStable", tail_status=tail.status, **witness)
     threshold = (1.0 - r_up) ** n
@@ -239,21 +228,19 @@ def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     """Truncation with r_n > 1 plus a small tail pushes a root inside the
     disk: cheap E-bounds first, the maximized delta profile as backup."""
     _require("n", n, 1, _MAX_DEGREE)
-    return _rouche_unstable(_Analysis(kernel), n)
+    return _rouche_unstable(kernel, _roots(kernel, n), n)
 
 
-def _rouche_unstable(analysis: _Analysis, n: int) -> Certificate:
-    # R < 1: L_n diverges at every n, as in _rouche_stable
-    if radius_of_convergence(analysis.kernel) < 1.0:
+def _rouche_unstable(kernel: KernelSpec, roots: RootSet | NonConvergence | None, n: int) -> Certificate:
+    if roots is None:
         return _na("RoucheUnstable", tail_status="divergent", n=n)
-    roots = analysis.roots(n)
     if isinstance(roots, NonConvergence):
         return _na("RoucheUnstable", reason=str(roots), n=n)
     r_down = roots.r_n - roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_down <= 1.0:
         return _na("RoucheUnstable", **witness)
-    tail = tail_abs_sum(analysis.kernel, n)
+    tail = tail_abs_sum(kernel, n)
     if not tail.is_finite:
         return _na("RoucheUnstable", tail_status=tail.status, **witness)
     witness.update(tail_hi=tail.hi)
@@ -279,14 +266,14 @@ def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 40
     # certify runs the real-axis scan before it reaches _marginal_stable
     if test_real_axis_root(kernel, grid_points).fired:
         return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
-    return _marginal_stable(_Analysis(kernel), n, grid_points)
+    return _marginal_stable(kernel, n, grid_points)
 
 
-def _marginal_stable(analysis: _Analysis, n: int, g: int) -> Certificate:
-    moment = series_sum(analysis.kernel, "first_moment_abs", 1e-6)
+def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
+    moment = series_sum(kernel, "first_moment_abs", 1e-6)
     if not moment.is_finite:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
-    theta, z, vals = _circle_modulus(analysis.kernel, n, g)
+    theta, z, vals = _circle_modulus(kernel, n, g)
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
@@ -308,8 +295,9 @@ def _marginal_stable(analysis: _Analysis, n: int, g: int) -> Certificate:
                 profile=[m0, float(m1), float(m2)],
             )
         zeros.append({"theta": float(theta[i]), "re": float(z[i].real), "im": float(z[i].imag), "value": m0})
-    # the roots of p_n last: they cost most, and the circle checks decline most kernels
-    found = analysis.roots(n)
+    # the roots of p_n last: they cost most, and the circle checks decline most
+    # kernels; R < 1 never gets here, as its first absolute moment diverges
+    found = _roots(kernel, n)
     if isinstance(found, NonConvergence):
         return _na("MarginalStable", HEURISTIC, reason=str(found))
     if found.r_n > _MARGINAL_ROOT_SLACK:
@@ -362,22 +350,22 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     downgraded to inconclusive with both records kept.
 
     The fallback trajectory comes from ``solve_fast`` (same contract as
-    ``solve``, which it calls itself when R < 1).  When R < 1 the Rouche
-    criteria decline without computing any roots: L_n is divergent at every n.
+    ``solve``, which it calls itself when R < 1).  Per degree n, RoucheStable
+    then RoucheUnstable run on one root set of p_n, and on none when R < 1.
     """
     _require("max_degree", max_degree, 1, _MAX_DEGREE)
     _require("steps", steps, 100, _MAX_STEPS)
     _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     attempts: list[dict] = []
-    analysis = _Analysis(kernel)
 
     def rigorous():
         yield test_absolute_sum(kernel), {}
         yield test_efp(kernel), {}
         yield test_real_axis_root(kernel, grid_points), {}
-        for rouche in (_rouche_stable, _rouche_unstable):
-            for n in range(1, max_degree + 1):
-                yield rouche(analysis, n), {"n": n}
+        for n in range(1, max_degree + 1):
+            roots = _roots(kernel, n)
+            yield _rouche_stable(kernel, roots, n), {"n": n}
+            yield _rouche_unstable(kernel, roots, n), {"n": n}
 
     def record(cert: Certificate, extra: dict) -> bool:
         entry = {"criterion": cert.criterion, "verdict": cert.verdict, **extra}
@@ -392,7 +380,7 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
         if record(cert, extra):
             break
     else:
-        cert = _marginal_stable(analysis, max(200, max_degree), grid_points)
+        cert = _marginal_stable(kernel, max(200, max_degree), grid_points)
         record(cert, {})
         traj = solve_fast(kernel, steps)
         emp, summary = classify(traj), _summarize(traj)

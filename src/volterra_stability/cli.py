@@ -129,8 +129,7 @@ def _cmd_reproduce(args) -> int:
     verdicts: dict[str, dict] = {}
     for name in fixture_names():
         kernel = load_fixture(name)
-        max_degree = 6 if name == "rouche_table" else 32
-        report = certify(kernel, max_degree, args.steps, args.grid_points)
+        report = certify(kernel, 32, args.steps, args.grid_points)
         verdicts[name] = report_to_dict(report)
         print(f"{name}: {_verdict_line(report)}")
         expected = _EXPECTED_FINALS[name]

@@ -366,7 +366,8 @@ def _euler_maclaurin(c: float, alpha: float, beta: float, start: int, weight: in
     p = next((p for p in range(len(_EM_COEF)) if rem(last, p) <= 0.75 * precision), None)
     if p is None:
         return SumEnclosure.unknown()
-    n = _stop_index(lambda m: rem(m, p), start, 0.75 * precision, last) or last
+    # rem(last, p) meets the target, so the stop index exists
+    n = _stop_index(lambda m: rem(m, p), start, 0.75 * precision, last)
     vals, dirt = [], []
     r_lo = r_hi = 0.0
     for a, b, sign in parts:
@@ -627,7 +628,8 @@ def support_gcd(kernel: KernelSpec) -> int | None:
 
 
 def kernel_from_dict(data: dict) -> KernelSpec:
-    """Parse {"prefix": [...], "tail": {...}}, prefix[0] is a_1: the structure; the built kernel checks the values."""
+    """Parse {"prefix": [...], "tail": {...}}, prefix[0] is a_1: the structure; the built kernel checks the values,
+    of every tail field present (kind, c, q, alpha, beta), a zero tail's too.  Other keys are ignored."""
     if not isinstance(data, dict):
         raise KernelFormatError("kernel spec must be a JSON object")
     for name in ("prefix", "tail"):
@@ -638,11 +640,11 @@ def kernel_from_dict(data: dict) -> KernelSpec:
         raise KernelFormatError("prefix must be an array of numbers")
     if not isinstance(tail, dict) or "kind" not in tail:
         raise KernelFormatError("tail must be an object with a 'kind' field")
-    fields = ("c", "q", "alpha", "beta") if tail["kind"] == "parametric" else ()
-    for f in fields:
+    fields = ("c", "q", "alpha", "beta")
+    for f in fields if tail["kind"] == "parametric" else ():
         if f not in tail:
             raise KernelFormatError(f"missing field: tail.{f}")
-    return KernelSpec(tuple(prefix), TailModel(tail["kind"], *(tail[f] for f in fields)))
+    return KernelSpec(tuple(prefix), TailModel(**{f: tail[f] for f in ("kind", *fields) if f in tail}))
 
 
 def kernel_to_dict(kernel: KernelSpec) -> dict:

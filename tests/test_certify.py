@@ -695,10 +695,20 @@ def test_certify_small_radius_computes_no_roots(monkeypatch, name):
     roots = _counting(monkeypatch, certify_mod, "pn_roots")
     d = report_to_dict(certify_mod.certify(paper_kernels()[name]))
     assert roots == []
-    rouche = [{"criterion": c, "verdict": NOT_APPLICABLE, "n": n} for c in ("RoucheStable", "RoucheUnstable") for n in range(1, 33)]
+    rouche = [{"criterion": c, "verdict": NOT_APPLICABLE, "n": n} for n in range(1, 33) for c in ("RoucheStable", "RoucheUnstable")]
     early = [{"criterion": c, "verdict": NOT_APPLICABLE} for c in ("AbsoluteSum", "EFP", "RealAxisRoot")]
     marginal = [{"criterion": "MarginalStable", "verdict": NOT_APPLICABLE}]
     assert d == {**_PINNED_SMALL_RADIUS[name], "attempts": early + rouche + marginal}
+
+
+def test_certify_stops_at_the_first_deciding_degree(monkeypatch):
+    # each degree runs both Rouche tests on its roots, so an instability proved
+    # at n = 2 computes no root of a higher degree
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    rep = certify_mod.certify(KernelSpec((0.0, -4.0), TailModel.parametric(0.01, 0.5)))
+    assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == (UNSTABLE, "RoucheUnstable", RIGOROUS)
+    assert rep.final_witness["n"] == 2 and rep.final_witness["bound"] == "E1"
+    assert [n for _, n in roots] == [1, 2]
 
 
 @pytest.mark.parametrize("name", ["alternating_cubic", "geometric_half"])
@@ -731,16 +741,17 @@ def test_fallback_kind_matches_direct_solver():
         assert rep.empirical.kind == classify(solve(k, 10_000)).kind, k
 
 
-def _window(criterion, verdict, lo, hi):
-    return [(criterion, verdict, n) for n in range(lo, hi + 1)]
+def _window(lo, hi):
+    """Both Rouche tests per degree, neither firing, for n = lo..hi."""
+    return [(c, NOT_APPLICABLE, n) for n in range(lo, hi + 1) for c in ("RoucheStable", "RoucheUnstable")]
 
 
 # per fixture: (criterion, verdict, n) of each attempt, then the final
 # (verdict, criterion, rigor); no witness values, which move with LAPACK
 _NA = NOT_APPLICABLE
 _NO_AXIS = [("AbsoluteSum", _NA, None), ("EFP", _NA, None), ("RealAxisRoot", _NA, None)]
-_NO_WINDOW = _NO_AXIS + _window("RoucheStable", _NA, 1, 32) + _window("RoucheUnstable", _NA, 1, 32)
-_STABLE_AT_TWO = _NO_AXIS + _window("RoucheStable", _NA, 1, 1) + _window("RoucheStable", ASYMPTOTICALLY_STABLE, 2, 2)
+_NO_WINDOW = _NO_AXIS + _window(1, 32)
+_STABLE_AT_TWO = _NO_AXIS + _window(1, 1) + [("RoucheStable", ASYMPTOTICALLY_STABLE, 2)]
 _DECISION_TRACES = {
     "renewal": (
         [("AbsoluteSum", _NA, None), ("EFP", ASYMPTOTICALLY_STABLE, None)],
@@ -751,7 +762,7 @@ _DECISION_TRACES = {
     "rouche_stable_pair_plus": (_STABLE_AT_TWO, (ASYMPTOTICALLY_STABLE, "RoucheStable", RIGOROUS)),
     "rouche_stable_pair_minus": (_STABLE_AT_TWO, (ASYMPTOTICALLY_STABLE, "RoucheStable", RIGOROUS)),
     "rouche_table": (
-        _NO_AXIS + _window("RoucheStable", _NA, 1, 5) + _window("RoucheStable", ASYMPTOTICALLY_STABLE, 6, 6),
+        _NO_AXIS + _window(1, 5) + [("RoucheStable", ASYMPTOTICALLY_STABLE, 6)],
         (ASYMPTOTICALLY_STABLE, "RoucheStable", RIGOROUS),
     ),
     "rouche_unstable_pair": (_NO_AXIS[:2] + [("RealAxisRoot", UNSTABLE, None)], (UNSTABLE, "RealAxisRoot", RIGOROUS)),

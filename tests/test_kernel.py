@@ -629,6 +629,8 @@ def test_parse_normalizes_zero_scale():
         {"prefix": [], "tail": {"kind": "parametric", "c": 0.0, "q": 0.5, "alpha": 1.0, "beta": 0.0}}
     )
     assert k.tail.is_zero
+    # a zero tail's fields are checked, and c = 0 with any q is the zero tail
+    assert loads_kernel('{"prefix": [], "tail": {"kind": "zero", "c": 0, "q": 0.9}}') == KernelSpec((), TailModel.zero())
 
 
 @pytest.mark.parametrize(
@@ -649,6 +651,9 @@ def test_parse_normalizes_zero_scale():
         ({"prefix": [0.5, "x"], "tail": {"kind": "zero"}}, "prefix[1] must be a number, got 'x'"),
         ({"prefix": [True], "tail": {"kind": "zero"}}, "prefix[0] must be a number, got True"),
         ({"prefix": [[1.0]], "tail": {"kind": "zero"}}, "prefix[0] must be a number, got [1.0]"),
+        # a zero tail's fields are checked too, as TailModel checks them
+        ({"prefix": [], "tail": {"kind": "zero", "c": 1.0, "q": 0.9}}, "tail.c must be 0"),
+        ({"prefix": [], "tail": {"kind": "zero", "q": "x"}}, "tail.q"),
     ],
 )
 def test_parse_rejects_bad_fields(payload, needle):
