@@ -187,15 +187,15 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     return _na("RealAxisRoot", reason="no certified sign change", span=span)
 
 
-def _roots(kernel: KernelSpec, n: int) -> RootSet | NonConvergence | None:
-    """The roots of p_n, or the NonConvergence raised; None when R < 1, where
-    c != 0 and |q| > 1, so L_n diverges at every n and no roots are needed."""
+def _roots(kernel: KernelSpec, n: int) -> RootSet | dict:
+    """The roots of p_n, or the witness of why there are none: R < 1, where
+    c != 0 and |q| > 1, so L_n diverges at every n, or pn_roots' NonConvergence."""
     if radius_of_convergence(kernel) < 1.0:
-        return None
+        return {"tail_status": "divergent"}
     try:
         return pn_roots(kernel, n)
     except NonConvergence as e:
-        return e
+        return {"reason": str(e)}
 
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
@@ -205,11 +205,9 @@ def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     return _rouche_stable(kernel, _roots(kernel, n), n)
 
 
-def _rouche_stable(kernel: KernelSpec, roots: RootSet | NonConvergence | None, n: int) -> Certificate:
-    if roots is None:
-        return _na("RoucheStable", tail_status="divergent", n=n)
-    if isinstance(roots, NonConvergence):
-        return _na("RoucheStable", reason=str(roots), n=n)
+def _rouche_stable(kernel: KernelSpec, roots: RootSet | dict, n: int) -> Certificate:
+    if isinstance(roots, dict):
+        return _na("RoucheStable", **roots, n=n)
     r_up = roots.r_n + roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_up >= 1.0:
@@ -231,11 +229,9 @@ def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     return _rouche_unstable(kernel, _roots(kernel, n), n)
 
 
-def _rouche_unstable(kernel: KernelSpec, roots: RootSet | NonConvergence | None, n: int) -> Certificate:
-    if roots is None:
-        return _na("RoucheUnstable", tail_status="divergent", n=n)
-    if isinstance(roots, NonConvergence):
-        return _na("RoucheUnstable", reason=str(roots), n=n)
+def _rouche_unstable(kernel: KernelSpec, roots: RootSet | dict, n: int) -> Certificate:
+    if isinstance(roots, dict):
+        return _na("RoucheUnstable", **roots, n=n)
     r_down = roots.r_n - roots.margin()
     witness = {"n": n, "r_n": roots.r_n, "margin": roots.margin()}
     if r_down <= 1.0:
@@ -298,8 +294,8 @@ def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
     # the roots of p_n last: they cost most, and the circle checks decline most
     # kernels; R < 1 never gets here, as its first absolute moment diverges
     found = _roots(kernel, n)
-    if isinstance(found, NonConvergence):
-        return _na("MarginalStable", HEURISTIC, reason=str(found))
+    if isinstance(found, dict):
+        return _na("MarginalStable", HEURISTIC, **found)
     if found.r_n > _MARGINAL_ROOT_SLACK:
         return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
     return Certificate(STABLE, "MarginalStable", HEURISTIC, {"circle_zeros": zeros, "degree": n})
@@ -345,9 +341,9 @@ def _summarize(traj: Trajectory) -> dict:
 
 def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_points: int = 4096) -> Report:
     """Run the criteria in fixed order, stop at the first rigorous hit, and
-    fall back to trajectory classification when only heuristics (or nothing)
-    apply.  A heuristic verdict contradicted by an Unbounded trajectory is
-    downgraded to inconclusive with both records kept.
+    fall back to trajectory classification when only the last criterion, the
+    heuristic MarginalStable, or none fired.  A heuristic verdict contradicted
+    by an Unbounded trajectory is downgraded to inconclusive, both records kept.
 
     The fallback trajectory comes from ``solve_fast`` (same contract as
     ``solve``, which it calls itself when R < 1).  Per degree n, RoucheStable
@@ -358,7 +354,7 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     attempts: list[dict] = []
 
-    def rigorous():
+    def criteria():
         yield test_absolute_sum(kernel), {}
         yield test_efp(kernel), {}
         yield test_real_axis_root(kernel, grid_points), {}
@@ -366,22 +362,16 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
             roots = _roots(kernel, n)
             yield _rouche_stable(kernel, roots, n), {"n": n}
             yield _rouche_unstable(kernel, roots, n), {"n": n}
-
-    def record(cert: Certificate, extra: dict) -> bool:
-        entry = {"criterion": cert.criterion, "verdict": cert.verdict, **extra}
-        if cert.fired:
-            entry["rigor"] = cert.rigor
-            entry["witness"] = cert.witness
-        attempts.append(entry)
-        return cert.fired
+        yield _marginal_stable(kernel, max(200, max_degree), grid_points), {}
 
     emp = summary = None
-    for cert, extra in rigorous():
-        if record(cert, extra):
-            break
+    for cert, extra in criteria():
+        attempts.append({"criterion": cert.criterion, "verdict": cert.verdict, **extra})
+        if cert.fired:
+            attempts[-1].update(rigor=cert.rigor, witness=cert.witness)
+            if cert.rigor == RIGOROUS:
+                break
     else:
-        cert = _marginal_stable(kernel, max(200, max_degree), grid_points)
-        record(cert, {})
         traj = solve_fast(kernel, steps)
         emp, summary = classify(traj), _summarize(traj)
 

@@ -294,8 +294,13 @@ def test_rouche_stable_zero_kernel():
     assert cert.witness["r_n"] == 0.0 and cert.witness["tail_hi"] == 0.0
 
 
-def test_rouche_stable_divergent_tail_not_applicable():
-    assert check_rouche_stable(small_radius_unstable_kernel(), 3).verdict == NOT_APPLICABLE
+def test_rouche_stable_divergent_tail_not_applicable(monkeypatch):
+    # R < 1: L_n diverges at every n, so no roots are computed
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    cert = check_rouche_stable(small_radius_unstable_kernel(), 3)
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness == {"tail_status": "divergent", "n": 3}
+    assert roots == []
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +322,12 @@ def test_rouche_unstable_pair_zero_tail():
     assert classify(solve(rouche_unstable_pair_kernel(zero_tail=True), 200)).kind == "unbounded"
 
 
-def test_rouche_unstable_divergent_tail():
-    assert check_rouche_unstable(small_radius_unstable_kernel(), 4).verdict == NOT_APPLICABLE
+def test_rouche_unstable_divergent_tail(monkeypatch):
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    cert = check_rouche_unstable(small_radius_unstable_kernel(), 4)
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness == {"tail_status": "divergent", "n": 4}
+    assert roots == []
 
 
 def test_rouche_unstable_inside_roots_not_applicable():
@@ -336,13 +345,19 @@ _DIVERGENT_AT_UNIT_RADIUS = TailModel.parametric(0.01, 1.0, 0.5, 0.0)
         (check_rouche_unstable, KernelSpec((2.0,), _DIVERGENT_AT_UNIT_RADIUS), 1, {"tail_status": "divergent"}),
         # p_10's roots near 1e50 overflow the residual
         (
+            check_rouche_stable,
+            KernelSpec((0.0, -1e100), TailModel.zero()),
+            10,
+            {"reason": "residual nan above 1e-08 for p_10", "n": 10},
+        ),
+        (
             check_rouche_unstable,
             KernelSpec((0.0, -1e100), TailModel.zero()),
             10,
-            {"reason": "residual nan above 1e-08 for p_10"},
+            {"reason": "residual nan above 1e-08 for p_10", "n": 10},
         ),
     ],
-    ids=["stable-divergent-tail", "unstable-divergent-tail", "unstable-nonconvergence"],
+    ids=["stable-divergent-tail", "unstable-divergent-tail", "stable-nonconvergence", "unstable-nonconvergence"],
 )
 def test_rouche_not_applicable_exits(check, kernel, n, witness):
     cert = check(kernel, n)
@@ -943,7 +958,12 @@ def test_every_parsed_kernel_ends_in_a_report_or_a_documented_error(payload):
     # warning included (pyproject's filterwarnings), is a bug
     try:
         k = kernel_from_dict(payload)
-        certify(k, max_degree=4, steps=200, grid_points=64)
+        report = report_to_dict(certify(k, max_degree=4, steps=200, grid_points=64))
+    except (ValueError, NonConvergence):
+        return
+    # standard JSON: a NaN or an infinity anywhere in the report raises here
+    json.dumps(report, allow_nan=False)
+    try:
         for mode in ("plain", "absolute", "first_moment", "first_moment_abs"):
             series_sum(k, mode)
     except (ValueError, NonConvergence):
