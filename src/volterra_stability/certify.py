@@ -23,9 +23,11 @@ from .charfun import (
     NonConvergence,
     RootSet,
     _circle_modulus,
+    _zeros_inside,
     e_bounds,
     maximize_delta,
     pn_roots,
+    sn_coefficients,
 )
 from .kernel import (
     _MAX_DEGREE,
@@ -269,7 +271,8 @@ def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
     moment = series_sum(kernel, "first_moment_abs", 1e-6)
     if not moment.is_finite:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
-    theta, z, vals = _circle_modulus(kernel, n, g)
+    coeffs = sn_coefficients(kernel, n)
+    theta, z, vals = _circle_modulus(coeffs, g)
     left = np.roll(vals, 1)
     right = np.roll(vals, -1)
     idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
@@ -291,13 +294,16 @@ def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
                 profile=[m0, float(m1), float(m2)],
             )
         zeros.append({"theta": float(theta[i]), "re": float(z[i].real), "im": float(z[i].imag), "value": m0})
-    # the roots of p_n last: they cost most, and the circle checks decline most
-    # kernels; R < 1 never gets here, as its first absolute moment diverges
-    found = _roots(kernel, n)
-    if isinstance(found, dict):
-        return _na("MarginalStable", HEURISTIC, **found)
-    if found.r_n > _MARGINAL_ROOT_SLACK:
-        return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
+    # r_n <= _MARGINAL_ROOT_SLACK: s_n has no zero in |z| < 1 - 1e-6.  A zero
+    # count of 0 settles it; any other count, or none, leaves the decision and
+    # its witness to the roots of p_n, which cost most.  R < 1 never gets
+    # here, as its first absolute moment diverges
+    if _zeros_inside(coeffs, 1.0 / _MARGINAL_ROOT_SLACK) != 0:
+        found = _roots(kernel, n)
+        if isinstance(found, dict):
+            return _na("MarginalStable", HEURISTIC, **found)
+        if found.r_n > _MARGINAL_ROOT_SLACK:
+            return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
     return Certificate(STABLE, "MarginalStable", HEURISTIC, {"circle_zeros": zeros, "degree": n})
 
 

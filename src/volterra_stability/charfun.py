@@ -202,17 +202,43 @@ def e_bounds(roots: RootSet) -> EBound:
         return EBound("E2", float(min(abs(1.0 - m[outside - 1]), abs(1.0 - nxt)) ** n), 1.0)
 
 
-def _circle_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles theta, points z = e^(i theta) and |s_n(z)| on a uniform unit-circle grid."""
+def _circle_modulus(coeffs: np.ndarray, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles theta, points z = e^(i theta) and |s_n(z)| on a uniform unit-circle grid (coeffs from sn_coefficients)."""
     theta = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
     z = np.exp(1j * theta)
-    return theta, z, np.abs(np.polyval(sn_coefficients(kernel, n), z))
+    return theta, z, np.abs(np.polyval(coeffs, z))
+
+
+def _zeros_inside(coeffs: np.ndarray, rho: float) -> int | None:
+    """Zeros of s_n in |z| < rho by the argument principle: the summed principal
+    arguments of f_{j+1}/f_j, f_j = s_n(rho e^(2 pi i j/G)), from one FFT with G
+    the smallest power of two >= max(4096, 2(n + 1)) and h = 2 pi/G.
+
+    None when a value is not finite or within four times Higham's bound on the
+    FFT's error (log2(G) 4 eps sqrt(G) ||x||_2, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 24.2) of 0, or a step is wider than 0.75 pi: a
+    simple zero between a sampled chord and the arc, at most rho h^2/8 inside
+    rho, is booked on the wrong side, but its step is within rho h/2 of +-pi.
+    A cluster of k >= 2 zeros within about h of the circle can turn one step
+    by 2 pi unseen; the count still books at least k/2 of an inside cluster,
+    so it reads 0 only when no zero is inside.
+    """
+    g = 1 << max(12, (2 * len(coeffs) - 1).bit_length())
+    with np.errstate(all="ignore"):
+        x = coeffs[::-1] * rho ** np.arange(len(coeffs))
+        # fft(...)[::-1] runs counterclockwise, starting at j = 1
+        f = np.fft.fft(x, g)[::-1]
+        steps = np.angle(np.roll(f, -1) / f)
+        noise = 16.0 * np.finfo(float).eps * math.log2(g) * math.sqrt(g) * np.linalg.norm(x)
+    if not (np.all(np.isfinite(steps)) and np.max(np.abs(steps)) <= 0.75 * math.pi and np.min(np.abs(f)) > noise):
+        return None
+    return round(float(np.sum(steps)) / (2.0 * math.pi))
 
 
 def circle_min_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[float, complex]:
     """Minimum of |s_n| over a uniform grid on the unit circle, with argmin."""
     _require("grid_points", grid_points, 16, _MAX_GRID_POINTS)
     _require("n", n, 1)
-    _, z, vals = _circle_modulus(kernel, n, grid_points)
+    _, z, vals = _circle_modulus(sn_coefficients(kernel, n), grid_points)
     i = int(np.argmin(vals))
     return float(vals[i]), complex(z[i])

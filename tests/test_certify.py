@@ -1,8 +1,8 @@
+import cmath
 import importlib
 import itertools
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -436,15 +436,59 @@ def test_marginal_double_circle_zero_not_applicable():
     assert cert.witness["profile"] == pytest.approx([0.0, 2.353e-6, 9.412e-6], rel=1e-3, abs=1e-18)
 
 
-def test_marginal_root_failure_not_applicable(monkeypatch):
-    # the roots come last: alternating_cubic passes every circle check, then p_200 fails
-    def fail(kernel, n):
-        raise NonConvergence(f"residual nan above 1e-08 for p_{n}")
+def _fail_roots(kernel, n):
+    raise NonConvergence(f"residual nan above 1e-08 for p_{n}")
 
-    monkeypatch.setattr(certify_mod, "pn_roots", fail)
+
+def test_marginal_root_failure_not_applicable(monkeypatch):
+    # the roots come last: alternating_cubic passes every circle check, the
+    # zero count is left unresolved, and then p_200 fails
+    monkeypatch.setattr(certify_mod, "pn_roots", _fail_roots)
+    monkeypatch.setattr(certify_mod, "_zeros_inside", lambda coeffs, rho: None)
     cert = check_marginal_stable(alternating_cubic_kernel())
     assert cert.verdict == NOT_APPLICABLE
     assert cert.witness == {"reason": "residual nan above 1e-08 for p_200"}
+
+
+def test_marginal_zero_count_needs_no_roots(monkeypatch):
+    # the count finds no zero of s_200 inside 1 - 1e-6, so p_200's roots,
+    # failing here, are never asked for
+    monkeypatch.setattr(certify_mod, "pn_roots", _fail_roots)
+    cert = check_marginal_stable(alternating_cubic_kernel())
+    assert cert.verdict == STABLE and cert.rigor == HEURISTIC
+
+
+def test_marginal_zero_inside_the_unit_disk_but_outside_the_count_fires(monkeypatch):
+    # s(z) = 1 - z/(1 - 1e-7): its zero is inside the unit disk, where a count
+    # on |z| = 1 reads 1, but outside 1 - 1e-6, so r_n passes the slack and
+    # the count on |z| = 1 - 1e-6 fires with no root of p_200
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    cert = check_marginal_stable(KernelSpec((1.0 / (1.0 - 1e-7),), TailModel.zero()))
+    assert cert.verdict == STABLE and cert.rigor == HEURISTIC
+    assert roots == []
+
+
+def test_marginal_zero_inside_the_count_declines_by_its_roots(monkeypatch):
+    # s(z) = 1 - z/(1 - 2e-6): the count reads 1 and the roots decline
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    cert = check_marginal_stable(KernelSpec((1.0 / (1.0 - 2e-6),), TailModel.zero()))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness["reason"] == "truncation root inside the unit disk"
+    assert cert.witness["r_n"] == pytest.approx(1.0 / (1.0 - 2e-6), rel=1e-12)
+    assert [n for _, n in roots] == [200]
+
+
+def test_marginal_zero_between_chord_and_arc_declines():
+    # a conjugate pair at |z0| = 1 - 1.1e-6, a quarter grid step past pi/2:
+    # inside 1 - 1e-6, but outside the chord between the two nearest of the
+    # 4,096 samples, so the summed steps read 0; its step is within h/2 of
+    # pi, the count gives up, and the roots decline
+    z0 = cmath.rect(1.0 - 1.1e-6, 0.5 * math.pi + 0.25 * (2.0 * math.pi / 4096))
+    w = 1.0 / z0
+    cert = check_marginal_stable(KernelSpec((2.0 * w.real, -abs(w) ** 2), TailModel.zero()))
+    assert cert.verdict == NOT_APPLICABLE
+    assert cert.witness["reason"] == "truncation root inside the unit disk"
+    assert cert.witness["r_n"] == pytest.approx(1.0 / (1.0 - 1.1e-6), rel=1e-12)
 
 
 def test_marginal_truncation_root_inside_disk_not_applicable():
@@ -656,9 +700,9 @@ def test_certify_computes_each_analysis_once(monkeypatch):
     scans = _counting(monkeypatch, certify_mod, "test_real_axis_root")
     rep = certify_mod.certify(alternating_cubic_kernel(), steps=200)
     assert rep.final_criterion == "MarginalStable"
-    degrees = Counter(n for _, n in roots)
-    assert set(degrees) == set(range(1, 33)) | {200}
-    assert set(degrees.values()) == {1}
+    # the Rouche pass computes each degree's roots once, and the zero count
+    # spares MarginalStable its roots of p_200
+    assert [n for _, n in roots] == list(range(1, 33))
     assert len(scans) == 1
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from volterra_stability import (
     DomainError,
@@ -17,7 +18,8 @@ from volterra_stability import (
     partial_sum_eval,
     pn_roots,
 )
-from volterra_stability.charfun import _polish_roots, pn_coefficients, sn_coefficients
+from volterra_stability.certify import _MARGINAL_ROOT_SLACK
+from volterra_stability.charfun import _polish_roots, _zeros_inside, pn_coefficients, sn_coefficients
 
 from conftest import (
     alternating_cubic_kernel,
@@ -364,3 +366,73 @@ def test_sn_pn_coefficient_layout():
     assert np.allclose(sn, [0.5625, -1.5, 1.0])
     pn = pn_coefficients(k, 2)
     assert np.allclose(pn, [1.0, -1.5, 0.5625])
+
+
+# ---------------------------------------------------------------------------
+# zero count inside the marginal heuristic's circle
+
+_MARGINAL_RHO = 1.0 / _MARGINAL_ROOT_SLACK
+# planted zero moduli: on the circle, 1e-5 to either side, and 1e-7 inside,
+# which is inside the unit disk but outside rho = 1 - 1e-6
+_PLANTED_RADII = (1.0, 1.0 - 1e-5, 1.0 + 1e-5, 1.0 - 1e-7)
+
+
+def _conjugate_closed(zeros):
+    """Each zero off the real axis together with its conjugate."""
+    return [z for z0 in zeros for z in ((z0,) if z0.imag == 0.0 else (z0, z0.conjugate()))]
+
+
+def _kernel_with_zeros(zeros):
+    """The zero-tail kernel whose s_n, n = len(zeros), has these zeros: np.poly
+    gives p_n, the monic polynomial with the reciprocal zeros."""
+    return KernelSpec(tuple(-np.poly(1.0 / np.asarray(zeros)).real[1:]), TailModel.zero())
+
+
+@given(data=st.data())
+def test_zeros_inside_agrees_with_pn_roots(data):
+    # s_n has planted zeros and random ones at moduli 1.05..2; a count must be
+    # the number of roots of p_n above _MARGINAL_ROOT_SLACK, so 0 means r_n is
+    # not above it, and None is always allowed.  Each of three slots plants at
+    # most one real zero (at z = 1 or -1 times the modulus) or one conjugate
+    # pair in a sector of its own, so no two planted zeros form a cluster
+    n = data.draw(st.integers(16, 200), label="n")
+    planted = []
+    for slot in range(3):
+        kind = data.draw(st.sampled_from(["none", "real", "pair"] if slot != 1 else ["none", "pair"]))
+        if kind != "none":
+            r = data.draw(st.sampled_from(_PLANTED_RADII) | st.floats(0.3, 0.99))
+            angle = (slot // 2) * math.pi if kind == "real" else data.draw(st.floats(0.05 + slot, 0.95 + slot))
+            planted.append(cmath.rect(r, angle) if kind == "pair" else complex((1 - slot) * r))
+    zeros = _conjugate_closed(planted)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rest = n - len(zeros)
+    zeros += _conjugate_closed([cmath.rect(m, t) for m, t in zip(rng.uniform(1.05, 2.0, rest // 2), rng.uniform(0.0, math.pi, rest // 2))])
+    zeros += [complex(rng.choice([-1.0, 1.0]) * rng.uniform(1.05, 2.0))] * (rest % 2)
+    kernel = _kernel_with_zeros(zeros)
+    count = _zeros_inside(sn_coefficients(kernel, n), _MARGINAL_RHO)
+    try:
+        roots = pn_roots(kernel, n)
+    except NonConvergence:
+        return
+    assert count is None or count == int(np.sum(roots.moduli > _MARGINAL_ROOT_SLACK)), (count, roots.r_n)
+
+
+def test_zeros_inside_gives_up_below_the_fft_noise():
+    # 92 conjugate pairs at moduli 1.05..2, none inside: |s_184| dips to about
+    # 1e-11 on the circle, below the rounding of an FFT over coefficients near
+    # 1e5, and the summed steps there read 4
+    rng = np.random.default_rng(0)
+    kernel = _kernel_with_zeros(_conjugate_closed([cmath.rect(m, t) for m, t in zip(rng.uniform(1.05, 2.0, 92), rng.uniform(0.0, math.pi, 92))]))
+    assert _zeros_inside(sn_coefficients(kernel, 184), _MARGINAL_RHO) is None
+    assert pn_roots(kernel, 184).r_n < 1.0
+
+
+@pytest.mark.parametrize("radius", [1.0 - 1e-5, 1.0])
+def test_zeros_inside_double_zeros_at_the_circle_never_read_zero(radius):
+    # a double zero within a grid step of the circle turns one step by about
+    # 2 pi, which no sample sees: inside 1 - 1e-6 each double pair books 1
+    # zero of its 2, on |z| = 1 it books 1 that is not inside; both leave the
+    # decision to the roots
+    z0 = cmath.rect(radius, 1.0)
+    kernel = _kernel_with_zeros([z0, z0, z0.conjugate(), z0.conjugate()])
+    assert _zeros_inside(sn_coefficients(kernel, 4), _MARGINAL_RHO) == 2
