@@ -192,6 +192,7 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
 def _roots(kernel: KernelSpec, n: int) -> RootSet | dict:
     """The roots of p_n, or the witness of why there are none: R < 1, where
     c != 0 and |q| > 1, so L_n diverges at every n, or pn_roots' NonConvergence."""
+    _require("n", n, 1, _MAX_DEGREE)
     if radius_of_convergence(kernel) < 1.0:
         return {"tail_status": "divergent"}
     try:
@@ -203,7 +204,6 @@ def _roots(kernel: KernelSpec, n: int) -> RootSet | dict:
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
     """Root-free truncation: r_n < 1 and L_n < (1 - r_n)^n force the full
     characteristic function to stay root-free on the closed unit disk."""
-    _require("n", n, 1, _MAX_DEGREE)
     return _rouche_stable(kernel, _roots(kernel, n), n)
 
 
@@ -227,7 +227,6 @@ def _rouche_stable(kernel: KernelSpec, roots: RootSet | dict, n: int) -> Certifi
 def test_rouche_unstable(kernel: KernelSpec, n: int) -> Certificate:
     """Truncation with r_n > 1 plus a small tail pushes a root inside the
     disk: cheap E-bounds first, the maximized delta profile as backup."""
-    _require("n", n, 1, _MAX_DEGREE)
     return _rouche_unstable(kernel, _roots(kernel, n), n)
 
 
@@ -243,7 +242,7 @@ def _rouche_unstable(kernel: KernelSpec, roots: RootSet | dict, n: int) -> Certi
         return _na("RoucheUnstable", tail_status=tail.status, **witness)
     witness.update(tail_hi=tail.hi)
     eb = e_bounds(roots)
-    if eb.kind != "not_applicable" and tail.hi < eb.value:
+    if tail.hi < eb.value:
         witness.update(bound=eb.kind, bound_value=eb.value, rho=eb.rho)
         return Certificate(UNSTABLE, "RoucheUnstable", RIGOROUS, witness)
     dm = maximize_delta(roots)
@@ -260,8 +259,7 @@ def test_marginal_stable(kernel: KernelSpec, n: int = 200, grid_points: int = 40
     their grid neighborhoods (the order-one signature) suggest plain
     stability.  Never rigorous: zero order is not certified numerically."""
     _require("n", n, 16, _MAX_DEGREE)
-    _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
-    # certify runs the real-axis scan before it reaches _marginal_stable
+    # the scan checks grid_points; certify runs it before it reaches _marginal_stable
     if test_real_axis_root(kernel, grid_points).fired:
         return _na("MarginalStable", HEURISTIC, reason="certified real root inside the disk")
     return _marginal_stable(kernel, n, grid_points)

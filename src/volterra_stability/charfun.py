@@ -193,13 +193,11 @@ def e_bounds(roots: RootSet) -> EBound:
     if outside == 0:
         return EBound("not_applicable", math.nan, math.nan)
     with np.errstate(over="ignore"):  # inf is the right value for huge moduli
-        if outside == n:
-            return EBound("E1", float(abs(1.0 - m[-1]) ** n), 1.0)
-        nxt = float(m[outside])
-        if abs(nxt - 1.0) <= _UNIT_TOL:
+        if outside < n and abs(m[outside] - 1.0) <= _UNIT_TOL:
             rho1 = 2.0 / (float(m[outside - 1]) + 1.0)
             return EBound("E3", float(abs(1.0 - rho1 * m[outside - 1]) ** n), rho1)
-        return EBound("E2", float(min(abs(1.0 - m[outside - 1]), abs(1.0 - nxt)) ** n), 1.0)
+        # at rho = 1, E1 (every modulus outside) and E2 are one bound
+        return EBound("E1" if outside == n else "E2", float(np.min(np.abs(1.0 - m)) ** n), 1.0)
 
 
 def _circle_modulus(coeffs: np.ndarray, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -65,23 +65,6 @@ def test_partial_sum_validates_degree():
         partial_sum_eval(renewal_kernel(), 0, 0.5)
 
 
-def test_reversal_identity_random(rng):
-    # s_n(z) = z^n p_n(1/z), checked on 1000 random (kernel, n, z)
-    for _ in range(1000):
-        npre = int(rng.integers(0, 5))
-        k = KernelSpec(
-            tuple(rng.normal(size=npre)),
-            TailModel.parametric(float(rng.normal()), float(rng.uniform(-0.9, 0.9)), float(rng.integers(0, 3)), 0.0),
-        )
-        n = int(rng.integers(1, 12))
-        r = float(rng.uniform(0.1, 10.0))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        z = r * complex(math.cos(phi), math.sin(phi))
-        lhs = partial_sum_eval(k, n, z)
-        rhs = z**n * complex(np.polyval(pn_coefficients(k, n), 1.0 / z))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(z) ** n)
-
-
 # ---------------------------------------------------------------------------
 # roots
 
@@ -263,8 +246,12 @@ def test_e1_all_roots_outside():
 
 
 def test_e2_mixed():
+    # E2 takes the modulus nearest the circle, from either side: here the inside one
     eb = e_bounds(_root_set(2.0, 0.5))
     assert eb.kind == "E2" and eb.value == pytest.approx(0.25)
+    # and here the outside one
+    eb = e_bounds(_root_set(1.25, 0.5))
+    assert eb.kind == "E2" and eb.value == pytest.approx(0.0625)
 
 
 def test_e3_unit_modulus_neighbor():
@@ -314,21 +301,6 @@ def test_delta_huge_moduli_inf_at_one_without_warning(moduli):
     assert dm.value == math.inf and dm.rho0 == 1.0
     # the first piece, [1/nextafter(1e300), 1e-300], is about 1e-316 wide
     assert 0.0 < dm.profile_kinks[0] - 1.0 / rs.r_n < 1e-300
-
-
-def test_delta_dominates_e_bounds(rng):
-    hits = 0
-    for _ in range(1000):
-        rs = random_root_set(rng)
-        if rs.r_n <= 1.0:
-            continue
-        eb = e_bounds(rs)
-        if eb.kind == "not_applicable":
-            continue
-        dm = maximize_delta(rs)
-        assert eb.value <= dm.value + 1e-12 * max(1.0, dm.value)
-        hits += 1
-    assert hits > 500
 
 
 # ---------------------------------------------------------------------------
