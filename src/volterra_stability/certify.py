@@ -160,7 +160,10 @@ def test_real_axis_root(kernel: KernelSpec, grid_points: int = 4096) -> Certific
     enclosures of a(t) are computed only where a float upper bound on a(t)
     exceeds 1, plus the walk back to the last point with certified b > 0,
     which anchors the bracket; the verdict and witness are those of a scan
-    that encloses a(t) at every grid point.
+    that encloses a(t) at every grid point.  The bound (kernel._value_upper_bound)
+    is one Horner pass in t/g over a_k g^k, g the grid's far end, up to the
+    first power of two K >= max(N, 16) whose far-end rest is at most 1e-6, or
+    512 if none below it is (K = N for a prefix past 512).
     """
     _require("grid_points", grid_points, 2, _MAX_GRID_POINTS)
     span = min(1.0, radius_of_convergence(kernel))

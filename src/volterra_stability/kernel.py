@@ -576,30 +576,46 @@ def power_series_value(kernel: KernelSpec, t: float, precision: float = 1e-10) -
 def _value_upper_bound(kernel: KernelSpec, grid: np.ndarray) -> np.ndarray:
     """Float bounds U >= a(t) at t = +grid (row 0) and t = -grid (row 1).
 
-    a_1..a_K by Horner, K = max(N, 512), padded by (4K + 64) eps times the
-    Horner sum of |a_k| |t|^k, which covers the rounding of the computed a_k,
-    of Horner (gamma_2K) and of the final additions with room to spare (a
-    float filter, not an enclosure, so it reads no _gamma), plus (K + 1)(|c| + 2)
-    times the smallest subnormal for terms that underflow.  The rest is at most
-    E (|t|/g)^(K+1), E >= Sum_{k>K} |a_k| g^k at the grid's far end g by
-    geometric domination.  Entries are inf or nan where the coefficients or the
-    Horner sums leave float range or log E >= 709: those points are candidates.
+    Horner in u = t/g, g the grid's far end, over b_k = a_k g^k, k <= K (the
+    tail's by _tail_terms at the ratio q g): finite wherever a(g) converges.  K is
+    the least power of two >= max(N, 16) whose far-end rest E is at most 1e-6,
+    else 512, or N past 512.  E >= Sum_{k>K} |a_k| g^k is the lesser of geometric
+    domination (ratio |q| g rounded up) and, where s = alpha + beta > 1,
+    |c| K^(1-s)/(s-1), as |q| g <= 1; the rest at t is at most E u^(K+1).  The pad,
+    (4K + 64) eps times the Horner sum of |b_k| u^k, covers with room to spare (a
+    float filter, not an enclosure, so it reads no _gamma) the 4K + 12 roundings
+    of a term: k + 9 in b_k (k from fl(q g), 3 in the prefix's a_k g^k), k in u^k
+    from fl(t/g), 2K in Horner, 3 in the final sums; underflow adds at most
+    (K + 1)(|c| + 2) + E + Sum |a_k| smallest subnormals.  Entries are inf or nan
+    where the b_k or Horner sums leave float range or log E >= 709: candidates.
     """
-    k_max = max(kernel.prefix_len, 512)
-    coef = terms(kernel, k_max)[::-1]
+    n = kernel.prefix_len
     g = float(grid[-1])
     tm = kernel.tail
-    far = 0.0
+    log_far = lambda k: -math.inf  # a q = 0 tail has no far end
     if tm.q != 0.0:
         # the ratio rounded up bounds the true tail's terms; log 1/(1 - ratio) < 37, so _bracketed's pad holds
         ratio = math.nextafter(abs(tm.q) * g, math.inf)
-        log_far = _log_dominated(math.log(abs(tm.c)), ratio, tm.alpha, tm.beta, 0, k_max)
-        far = math.exp(log_far) * (1.0 + 1e-10) if log_far < 709.0 else math.inf
+        log_c = math.log(abs(tm.c))
+        # fsum gives s - 1 its exact sign; it overflows past float range, where the rest is 0
+        s1 = math.fsum((tm.alpha, tm.beta, -1.0)) if tm.alpha + tm.beta < math.inf else math.inf
+
+        def log_far(k):
+            geo = _log_dominated(log_c, ratio, tm.alpha, tm.beta, 0, k)
+            return min(geo, log_c - s1 * math.log(k) - math.log(s1)) if s1 > 0.0 else geo
+
+    e = _stop_index(lambda e: log_far(2**e), max(4, (n - 1).bit_length()), math.log(1e-6), 9)
+    k_max = max(n, 512) if e is None else 2**e
+    far = math.exp(log_far(k_max)) * (1.0 + 1e-10) if log_far(k_max) < 709.0 else math.inf
     with np.errstate(all="ignore"):
-        val = np.polyval(coef, np.stack([grid, -grid]))
-        mag = np.polyval(np.abs(coef), grid)
-        rest = far * (grid / g) ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * _EPS)
-        tiny = (k_max + 1) * (abs(tm.c) + 2.0) * math.ulp(0.0)
+        k = np.arange(k_max + 1.0)
+        pre = np.array((0.0, *kernel.prefix))  # a_0 = 0
+        coef = np.concatenate((pre * g ** k[: n + 1], _tail_terms(tm.c, tm.q * g, tm.alpha, tm.beta, k[n + 1 :])))[::-1]
+        u = grid / g
+        val = np.polyval(coef, np.stack([u, -u]))
+        mag = np.polyval(np.abs(coef), u)
+        rest = far * u ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * _EPS)
+        tiny = ((k_max + 1) * (abs(tm.c) + 2.0) + far) * math.ulp(0.0) + float(np.sum(np.abs(pre) * math.ulp(0.0)))
         return val + rest + ((4 * k_max + 64) * _EPS * (mag + rest) + tiny)
 
 

@@ -190,18 +190,36 @@ def _assert_scan_matches(kernel, grid_points=4096):
     assert (cert.verdict, cert.witness) == _full_scan(kernel, grid_points), kernel
 
 
+# kernels at the real-axis filter's edges: a_k past float range before k = 512
+# (the last with |c| = 1e300), a prefix longer than the filter's degree cap, and
+# q = +-1 tails with alpha + beta just above 1, whose far-end rest decays slowest
+_FILTER_EDGE_KERNELS = [
+    KernelSpec((), TailModel.parametric(0.1, 5.0, 1.0, 1.0)),
+    KernelSpec((0.3,), TailModel.parametric(-0.1, -5.0, 2.0, 0.0)),
+    KernelSpec((-1.272776253869962,), TailModel.parametric(-1e300, -1.1461437673707517, 1e-300, 1.0)),
+    KernelSpec(tuple(np.linspace(-1.0, 1.0, 700) / 100.0), TailModel.parametric(0.3, -0.9, 1.0)),
+    KernelSpec((), TailModel.parametric(1.0, 1.0, 1.001)),
+    KernelSpec((0.5,), TailModel.parametric(-0.9, -1.0, 0.5, 0.500001)),
+    KernelSpec((), TailModel.parametric(1.5, -1.0, 1.0000001)),
+]
+
+
 def test_real_axis_filtered_scan_matches_full_scan(rng):
     kernels = list(paper_kernels().values())
     kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
     for k in kernels:
         _assert_scan_matches(k)
     assert sum(check_real_axis_root(k).fired for k in kernels) >= 10
+    # 1,024 points: the full scan of the |c| = 1e300 kernel takes 4 s at 4,096
+    for k in _FILTER_EDGE_KERNELS:
+        _assert_scan_matches(k, 1024)
+    assert sum(check_real_axis_root(k, 1024).fired for k in _FILTER_EDGE_KERNELS) == 2
 
 
 def test_real_axis_prefilter_bounds_every_enclosure(rng):
     # the scan skips a point only when its float bound U(t) <= 1; U must sit
     # above the lower end of every finite enclosure of a(t)
-    kernels = list(paper_kernels().values())
+    kernels = list(paper_kernels().values()) + _FILTER_EDGE_KERNELS
     kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
     for k in kernels:
         grid = np.linspace(0.0, min(1.0, radius_of_convergence(k)), 130)[1:-1]
@@ -210,6 +228,23 @@ def test_real_axis_prefilter_bounds_every_enclosure(rng):
             for t, u in zip(sign * grid, bound[row]):
                 enc = power_series_value(k, float(t))
                 assert not enc.is_finite or not u < enc.lo, (k, t)
+
+
+def test_real_axis_scan_encloses_nothing_when_coefficients_overflow(monkeypatch):
+    # a_k = 0.1 5^k / (k (k+1)) leaves float range at k = 451, while each
+    # b_k = a_k g^k of the scaled Horner pass stays below 0.1: U <= 1 everywhere
+    values = _counting(monkeypatch, certify_mod, "power_series_value")
+    assert not check_real_axis_root(KernelSpec((), TailModel.parametric(0.1, 5.0, 1.0, 1.0))).fired
+    assert values == []
+
+
+def test_real_axis_filter_skips_the_far_end_of_the_finest_grid():
+    # U depends only on t and the grid's far end g, so the last 4,096 points of
+    # the 2^21-point grid carry its bound; near the radius the power-law rest
+    # |c| K^(1-s)/(s-1) keeps U <= 1 where a(t) <= 1/2
+    k = small_radius_unstable_kernel()
+    grid = np.linspace(0.0, radius_of_convergence(k), 2**20 + 2)[1:-1]
+    assert (kernel_mod._value_upper_bound(k, grid[-4096:]) <= 1.0).all()
 
 
 def test_real_axis_anchor_skips_undecided_points():

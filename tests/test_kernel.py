@@ -524,43 +524,76 @@ def test_power_series_outside_radius_unknown():
     assert power_series_value(KernelSpec((), TailModel.parametric(1.0, 3.0)), t).status == "unknown"
 
 
-def _value_upper_bound_ref(kernel, grid):
-    """The real-axis float bound written out: two Horner loops, and the far-end
-    tail Sum_{k>K} |c| r^k / (k^alpha (k+1)^beta) bounded by geometric domination,
-    |c| r^(K+1) / (1 - r) with the polynomial factor frozen at K + 1, in log space."""
-    k_max = max(kernel.prefix_len, 512)
-    a = terms(kernel, k_max)
-    g = float(grid[-1])
+def _far_end_ref(kernel, g):
+    """(K, log E): E >= Sum_{k>K} |a_k| g^k is the smaller of geometric domination,
+    |c| r^(K+1) / (1 - r) with r = |q| g rounded up and the polynomial factor frozen
+    at K + 1, and, where s = alpha + beta > 1, |c| K^(1-s) / (s - 1), both in log
+    space; K is the first of 16, 32, ..., 512 at or past N with E <= 1e-6, else
+    max(N, 512)."""
+    n = kernel.prefix_len
     tm = kernel.tail
-    if tm.is_zero or tm.q == 0.0:
-        far = 0.0
-    else:
+
+    def log_far(k):
+        if tm.q == 0.0:
+            return -math.inf
         r = math.nextafter(abs(tm.q) * g, math.inf)
-        log_far = math.log(abs(tm.c)) + ((k_max + 1) * math.log(r) - math.log1p(-r))
-        log_far = log_far - tm.alpha * math.log(k_max + 1) - tm.beta * math.log(k_max + 2)
-        far = math.exp(log_far) * (1.0 + 1e-10) if log_far < 709.0 else math.inf
-    x = np.stack([grid, -grid])
+        geo = math.log(abs(tm.c)) + ((k + 1) * math.log(r) - math.log1p(-r))
+        geo = geo - tm.alpha * math.log(k + 1) - tm.beta * math.log(k + 2)
+        s1 = math.fsum((tm.alpha, tm.beta, -1.0)) if tm.alpha + tm.beta < math.inf else math.inf
+        if not s1 > 0.0:
+            return geo
+        return min(geo, math.log(abs(tm.c)) - s1 * math.log(k) - math.log(s1))
+
+    k_max = next((k for k in (16, 32, 64, 128, 256, 512) if k >= n and log_far(k) <= math.log(1e-6)), max(n, 512))
+    return k_max, log_far(k_max)
+
+
+def _value_upper_bound_ref(kernel, grid):
+    """The real-axis float bound written out: with g the grid's far end, b_k = a_k g^k
+    (the prefix's a_k times g^k, the tail's terms by the one tail formula at the
+    ratio q g), two Horner loops in u = t/g, and the far-end rest E u^(K+1)."""
+    g = float(grid[-1])
+    k_max, log_e = _far_end_ref(kernel, g)
+    far = math.exp(log_e) * (1.0 + 1e-10) if log_e < 709.0 else math.inf
+    tm = kernel.tail
+    n = kernel.prefix_len
+    u = grid / g
+    x = np.stack([u, -u])
     eps = 2.0 ** -52
     with np.errstate(all="ignore"):
+        tail = kernel_mod._tail_terms(tm.c, tm.q * g, tm.alpha, tm.beta, np.arange(n + 1, k_max + 1, dtype=float))
+        # numpy's pow, as in _tail_terms: Python's can differ in the last bit
+        b = list(np.array(kernel.prefix) * np.power(g, np.arange(1.0, n + 1.0))) + list(tail)
         val = np.zeros_like(x)
         mag = np.zeros_like(grid)
-        for ak in a[:0:-1]:
-            val = (val + ak) * x
-            mag = (mag + abs(ak)) * grid
-        rest = far * (grid / g) ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * eps)
-        tiny = (k_max + 1) * (abs(tm.c) + 2.0) * math.ulp(0.0)
+        for bk in b[::-1]:
+            val = (val + bk) * x
+            mag = (mag + abs(bk)) * u
+        rest = far * u ** (k_max + 1) * (1.0 + 4.0 * (k_max + 2) * eps)
+        lost = float(np.sum(np.abs(kernel.prefix) * math.ulp(0.0)))
+        tiny = ((k_max + 1) * (abs(tm.c) + 2.0) + far) * math.ulp(0.0) + lost
         return val + rest + ((4 * k_max + 64) * eps * (mag + rest) + tiny)
 
 
 def test_value_upper_bound_matches_horner_reference(rng):
     kernels = list(paper_kernels().values())
     kernels += [random_bounded_kernel(rng, 0.5, 2.5) for _ in range(30)]
+    # the geometric rest at the far end of 4,096 points reaches 1e-6 at K = 16,
+    # 32, ..., 256, and only the cap stops the last; one more by the power law
+    by_degree = [KernelSpec((), TailModel.parametric(1.0, q)) for q in (0.3, 0.5, 0.75, 0.88, 0.93, 0.99)]
+    by_degree.append(KernelSpec((0.2,) * 20, TailModel.parametric(1.0, 1.0, 5.0)))
+    kernels += by_degree
     kernels += [
-        KernelSpec((), TailModel.parametric(1.0, -1e3)),  # coefficients leave float range
-        KernelSpec((1.7e308, -1.7e308, -1e308), TailModel.zero()),  # Horner overflows
+        KernelSpec((), TailModel.parametric(1.0, -1e3)),  # a_k = (-1e3)^k leave float range, b_k do not
+        KernelSpec((0.0,) * 200 + (1e300,), TailModel.parametric(1.0, 1e3)),  # the prefix's g^201 underflows
+        KernelSpec((1.7e308, -1.7e308, -1e308), TailModel.zero()),  # b_k near float range
         KernelSpec((), TailModel.parametric(2.0, 0.0)),  # q = 0: no far-end tail
         KernelSpec((0.5, -0.25), TailModel.zero()),
         KernelSpec(tuple(np.linspace(-1.0, 1.0, 700)), TailModel.parametric(0.3, -0.9, 1.0)),  # N > 512
+        # a_k past float range before k = 512
+        KernelSpec((), TailModel.parametric(0.1, 5.0, 1.0, 1.0)),
+        KernelSpec((0.3,), TailModel.parametric(-0.1, -5.0, 2.0, 0.0)),
+        KernelSpec((), TailModel.parametric(1.0, 1.0000000000000002, 1.7e308, 1.7e308)),  # alpha + beta = inf
         KernelSpec((), TailModel.parametric(1.0, 1.0, 1.0000001)),  # no certified far-end tail at 1e-12
     ]
     for k in kernels:
@@ -568,8 +601,10 @@ def test_value_upper_bound_matches_horner_reference(rng):
             grid = np.linspace(0.0, min(1.0, radius_of_convergence(k)), points // 2 + 2)[1:-1]
             got = kernel_mod._value_upper_bound(k, grid)
             assert np.array_equal(got, _value_upper_bound_ref(k, grid), equal_nan=True), (k, points)
-            if k is kernels[-1]:
-                assert np.isfinite(got).all()
+            if k in kernels[-4:]:
+                assert np.isfinite(got).all(), (k, points)
+    degrees = [_far_end_ref(k, float(np.linspace(0.0, 1.0, 2050)[-2]))[0] for k in by_degree]
+    assert degrees == [16, 32, 64, 128, 256, 512, 32]
 
 
 @pytest.mark.parametrize("name", ["renewal", "small_radius_unstable"])
