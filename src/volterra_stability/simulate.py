@@ -5,7 +5,7 @@ multiple of it, so boundedness / decay of this one trajectory decides the
 stability notions the certificate layer reports.
 
 Two evaluation strategies share one contract: ``solve`` is the direct
-quadratic recursion, ``solve_fast`` seeds x_0's share a_n x_0 of every x_n,
+recursion, ``solve_fast`` seeds x_0's share a_n x_0 of every x_n,
 accumulates past-block contributions to future indices with FFT convolutions
 (divide-and-conquer blocking) and solves each base block as one convolution
 with the first values of that canonical trajectory, the resolvent
@@ -16,13 +16,18 @@ n >= 1, so x_0 never stops a run.  Kernels whose tail ratio |q| exceeds 1 are
 internally rescaled by q**-n so the recursion runs on bounded coefficients;
 that keeps exactly-cancelling trajectories (for instance geometric kernels
 whose solution dies after two steps) exactly zero instead of overflowing.
+The direct recursion is quadratic in the steps, except on such a tail without
+polynomial factors (alpha = beta = 0): there the whole tail's share of x_n is
+one running sum, so each step costs O(N) for a prefix of N terms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -140,7 +145,11 @@ def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
 
 
 def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
-    """Direct O(steps^2) evaluation of the recursion, oldest index first."""
+    """Direct evaluation of the recursion, oldest index first.
+
+    O(steps^2) work, or O(N) per step for a tail c q^n with |q| > 1 after a
+    prefix of N terms.
+    """
     limit = _limit(steps, x0, thresholds)
     with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
         if radius_of_convergence(kernel) < 1.0:
@@ -166,6 +175,8 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     t = kernel.tail
     q = t.q
     pref = tuple(_reduce(v, q, i + 1) for i, v in enumerate(kernel.prefix))
+    if t.alpha == t.beta == 0:
+        return _run_geometric(pref, t.c, q, steps, x0, limit)
     a_rev = _reversed_coeffs(terms(KernelSpec(pref, TailModel.parametric(t.c, 1.0, t.alpha, t.beta)), steps))
     u = np.zeros(steps + 1)
     x = np.zeros(steps + 1)
@@ -184,6 +195,43 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
             if 0.0 < recent < _RENORM_LIMIT:
                 # exact power-of-two rescale of the reduced history
                 u[: n + 1] *= _RENORM_FACTOR
+                pw /= _RENORM_FACTOR
+    return _cut(x, limit)
+
+
+def _run_geometric(b: tuple, c: float, q: float, steps: int, x0: float, limit: float):
+    """The reduced recursion of a c q^n tail (alpha = beta = 0) in O(N) work per step.
+
+    The reduced coefficients are b_1..b_N, then c from N + 1 on, so
+    u_n = sum_{k<=N} b_k u_{n-k} + c S_{n-N-1}, where S_m = S_{m-1} + u_m and
+    S_{-1} = 0.  Only u_{n-N-1}..u_{n-1} and S are live.  c multiplies S
+    afresh at each step: folded into the differenced coefficients of
+    (1 - z)(1 - b(z)) - c z^{N+1}, or summed as c u_m, a subnormal c loses
+    its bits.  When everything the next step reads sinks below 2^-600, u and
+    S, never the stored x, are rescaled by 2^600.
+    """
+    live = deque([0.0] * len(b) + [x0], maxlen=len(b) + 1)  # u_{n-N-1}..u_{n-1}
+    b_rev = b[::-1]
+    x = np.zeros(steps + 1)
+    x[0] = x0
+    total = 0.0  # S_{n-N-1} once step n has added u_{n-N-1}
+    pw = 1.0  # q^n * 2^-sigma, as in _run_scaled
+    for n in range(1, steps + 1):
+        total += live[0]
+        un = c * total  # oldest index first: the tail's share, then b_N u_{n-N}..b_1 u_{n-1}
+        for bk, uk in zip(b_rev, islice(live, 1, None)):
+            un += bk * uk
+        live.append(un)
+        pw *= q
+        xn = x[n] = 0.0 if un == 0.0 else pw * un
+        if not math.isfinite(xn) or abs(xn) > limit:
+            break
+        if n % 64 == 0 and 0.0 < max(abs(c * total), *map(abs, live)) < _RENORM_LIMIT:
+            scaled = total * _RENORM_FACTOR
+            if math.isfinite(scaled):  # S can lie far above its share c S when c is subnormal
+                # exact power-of-two rescale of everything the recursion reads again
+                live = deque([w * _RENORM_FACTOR for w in live], maxlen=live.maxlen)
+                total = scaled
                 pw /= _RENORM_FACTOR
     return _cut(x, limit)
 

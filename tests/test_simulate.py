@@ -1,8 +1,10 @@
+import importlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,8 @@ from conftest import (
     renewal_kernel,
     small_radius_unstable_kernel,
 )
+
+simulate_mod = importlib.import_module("volterra_stability.simulate")
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +175,86 @@ def test_scaled_path_renormalises_a_tiny_history():
     assert (len(unit), unit.truncated, unit.overflow) == (51, True, False)
     expected = 1e-300 * unit.values
     assert np.all(np.abs(tiny.values[:51] - expected) <= 1e-15 * np.abs(expected))
+
+
+# tails c q^n with |q| > 1 (alpha = beta = 0) drawn by class G's recipe
+# (random.Random(11): up to five prefix terms from U(-1.2, 1.2), c = ±U(0.01, 1),
+# q = ±U(0.05, 1.6)), kept where a sum over the whole reduced history loses
+# more than 1e-9 of some x_n within 80 steps
+_GEOMETRIC_Q_ABOVE_ONE = (
+    KernelSpec((-0.9787389034841331,), TailModel.parametric(-0.8920308276701143, 1.0682446720898366)),
+    KernelSpec((0.7315713601540581, -0.5801658103552623), TailModel.parametric(-0.7469905570562743, -1.3126946676327533)),
+    KernelSpec((), TailModel.parametric(-0.5462316921763531, -1.221471675738579)),
+    KernelSpec((0.7730121575906583,), TailModel.parametric(-0.35821042669729525, -1.4289641722601525)),
+    KernelSpec((), TailModel.parametric(-0.31301882779985774, 1.5401040263136831)),
+    KernelSpec((), TailModel.parametric(-0.7924618980889105, -1.5809921409318877)),
+    KernelSpec((-0.13861049696653938,), TailModel.parametric(-0.5606214305327117, 1.4148164816708457)),
+)
+# ROADMAP item 9's example: |x_300| = 2.1e-56, reached only through cancellation
+_ITEM9 = KernelSpec((), TailModel.parametric(-0.4832524171480603, 1.2625694703520396))
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_geometric_tail_matches_exact_oracle(run):
+    for k in _GEOMETRIC_Q_ABOVE_ONE:
+        got = run(k, 80).values
+        want = np.array([float(v) for v in brute_solve_exact(k, 80)])
+        assert len(got) == 81
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_geometric_tail_keeps_a_cancelling_decay(run):
+    # x_300 from brute_solve_exact; a sum over the whole history gave -4.8e10
+    assert run(_ITEM9, 300).values[300] == pytest.approx(-2.1429736075769345e-56, rel=1e-12)
+    report = certify(_ITEM9)
+    assert (report.final_verdict, report.final_criterion) == ("asymptotically_stable", "Empirical")
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_geometric_tail_keeps_a_subnormal_c(run):
+    # a_1 = 1 and a_k = 1e-320 2^k: x_n stays near 1 until the tail takes over,
+    # and the exact trajectory first passes the cutoff at x_1105 = 17386027614209
+    # (the O(n) exact recursion in 60-digit mpmath).  Folding c into differenced
+    # coefficients 0.5 - c keeps x_n = 1 for good; a running sum of c u_m keeps
+    # c's subnormal rounding and gives 1.73817e13
+    t = run(KernelSpec((1.0,), TailModel.parametric(1e-320, 2.0)), 3000)
+    assert (len(t), t.truncated, t.overflow) == (1106, True, False)
+    assert t.values[1105] == pytest.approx(17386027614209.0, rel=1e-12)
+
+
+def test_geometric_path_renormalises_a_tiny_history():
+    # as test_scaled_path_renormalises_a_tiny_history, for alpha = beta = 0:
+    # x_n = 1e-300 3^(n-1), while the reduced state starts near 2^-997 and is
+    # scaled back up at n = 64, the running sum together with u
+    k = KernelSpec((), TailModel.parametric(0.5, 2.0))
+    tiny = solve(k, 3000, x0=1e-300)
+    assert (len(tiny), tiny.truncated, tiny.overflow) == (659, True, False)
+    exact = np.array([float(Fraction(1e-300) * 3 ** (n - 1)) for n in range(1, 659)])
+    assert np.all(np.abs(tiny.values[1:] - exact) <= 1e-14 * exact)
+    # a_n = -2^(n-1) gives x_n = -x0: the reduced state halves each step and
+    # sinks below 2^-600 again and again; rescaled by 2^600 each time, it stays exact
+    flat = solve(KernelSpec((), TailModel.parametric(-0.5, 2.0)), 3000, x0=1e-250)
+    assert len(flat) == 3001 and np.all(flat.values[1:] == -1e-250)
+
+
+def test_geometric_path_skips_a_rescale_that_would_overflow_the_sum():
+    # a_1 = 0 and a_k = 1e-320 2^k from x0 = 2^430: u_n = c S_{n-2} sits near
+    # 2^-633 while S = 2^430, so S times 2^600 would overflow.  The exact
+    # trajectory (60-digit mpmath) first passes the cutoff at x_677 = 17386027614208
+    t = solve(KernelSpec((0.0,), TailModel.parametric(1e-320, 2.0)), 3000, x0=2.0**430)
+    assert (len(t), t.truncated, t.overflow) == (678, True, False)
+    assert t.values[677] == pytest.approx(17386027614208.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_geometric_tail_never_runs_the_quadratic_sum(run, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("_inner_dot called")
+
+    monkeypatch.setattr(simulate_mod, "_inner_dot", forbidden)
+    assert len(run(geometric_null_kernel(3.0), 2**14)) == 2**14 + 1
+    assert len(run(_ITEM9, 2**14)) == 2**14 + 1
 
 
 def test_scaling_equivariance():
