@@ -84,9 +84,6 @@ HEURISTIC = "heuristic"
 
 # EFP unit-sum acceptance needs the enclosure at least this tight
 _EFP_SUM_WIDTH = 1e-9
-# p_n root moduli may poke outside the unit circle by at most this much
-# before the marginal heuristic gives up (zeros of s_n inside 1 - 1e-6)
-_MARGINAL_ROOT_SLACK = 1.0 / (1.0 - 1e-6)
 _CIRCLE_NEAR_ZERO = 0.05
 
 
@@ -295,16 +292,12 @@ def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
                 profile=[m0, float(m1), float(m2)],
             )
         zeros.append({"theta": float(theta[i]), "re": float(z[i].real), "im": float(z[i].imag), "value": m0})
-    # r_n <= _MARGINAL_ROOT_SLACK: s_n has no zero in |z| < 1 - 1e-6.  A zero
-    # count of 0 settles it; any other count, or none, leaves the decision and
-    # its witness to the roots of p_n, which cost most.  R < 1 never gets
-    # here, as its first absolute moment diverges
-    if _zeros_inside(coeffs, 1.0 / _MARGINAL_ROOT_SLACK) != 0:
-        found = _roots(kernel, n)
-        if isinstance(found, dict):
-            return _na("MarginalStable", HEURISTIC, **found)
-        if found.r_n > _MARGINAL_ROOT_SLACK:
-            return _na("MarginalStable", HEURISTIC, reason="truncation root inside the unit disk", r_n=found.r_n)
+    # s_n has no zero in |z| < 1 - 1e-6 when the winding count, its wide steps
+    # bisected, reads 0; a positive count, or none, declines with the count
+    count = _zeros_inside(coeffs, 1.0 - 1e-6)
+    if count != 0:
+        reason = "zero count unresolved" if count is None else "truncation root inside the unit disk"
+        return _na("MarginalStable", HEURISTIC, reason=reason, zeros_inside=count)
     return Certificate(STABLE, "MarginalStable", HEURISTIC, {"circle_zeros": zeros, "degree": n})
 
 

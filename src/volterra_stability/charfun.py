@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _MAX_DEGREE, _MAX_GRID_POINTS, _MAX_STEPS, KernelSpec, _require, terms
+from .kernel import _MAX_DEGREE, _MAX_GRID_POINTS, _MAX_STEPS, KernelSpec, _gamma, _require, terms
 
 __all__ = [
     "RootSet",
@@ -210,27 +210,42 @@ def _circle_modulus(coeffs: np.ndarray, grid_points: int) -> tuple[np.ndarray, n
 def _zeros_inside(coeffs: np.ndarray, rho: float) -> int | None:
     """Zeros of s_n in |z| < rho by the argument principle: the summed principal
     arguments of f_{j+1}/f_j, f_j = s_n(rho e^(2 pi i j/G)), from one FFT with G
-    the smallest power of two >= max(4096, 2(n + 1)) and h = 2 pi/G.
-
-    None when a value is not finite or within four times Higham's bound on the
-    FFT's error (log2(G) 4 eps sqrt(G) ||x||_2, *Accuracy and Stability of
-    Numerical Algorithms*, Thm 24.2) of 0, or a step is wider than 0.75 pi: a
-    simple zero between a sampled chord and the arc, at most rho h^2/8 inside
-    rho, is booked on the wrong side, but its step is within rho h/2 of +-pi.
-    A cluster of k >= 2 zeros within about h of the circle can turn one step
-    by 2 pi unseen; the count still books at least k/2 of an inside cluster,
-    so it reads 0 only when no zero is inside.
+    the smallest power of two >= max(4096, 2(n + 1)) and h = 2 pi/G.  A simple
+    zero between a sampled chord and the arc, at most rho h^2/8 inside rho, has
+    its step within rho h/2 of +-pi, so a step wider than 0.75 pi is bisected by
+    Horner values at arc midpoints until each sub-step is at most 0.75 pi.  None
+    when a value is not finite or within its rounding floor of 0, or an arc's
+    midpoint equals an end.  With x_k = rho^k [z^k] s_n, an FFT value's floor is
+    4 times Higham's bound log2(G) 4 eps sqrt(G) ||x||_2 (Thm 24.2), a Horner
+    value's gamma_(7(m+1)) Sum |x_k|, m = deg s_n: 6 roundings a step (3 a complex
+    product, Lemma 3.5, 1 the sum, 2 |e^(i theta)|), m + 1 for Sum |x_k| and 1
+    for the product.  A cluster of k >= 2 zeros within about h of the circle can
+    turn one step by 2 pi unseen; the count still books at least k/2 of an
+    inside cluster, so it reads 0 only when no zero is inside.
     """
     g = 1 << max(12, (2 * len(coeffs) - 1).bit_length())
     with np.errstate(all="ignore"):
         x = coeffs[::-1] * rho ** np.arange(len(coeffs))
-        # fft(...)[::-1] runs counterclockwise, starting at j = 1
+        # fft(...)[::-1] runs counterclockwise, f[j] at theta = 2 pi (j + 1)/G
         f = np.fft.fft(x, g)[::-1]
         steps = np.angle(np.roll(f, -1) / f)
         noise = 16.0 * np.finfo(float).eps * math.log2(g) * math.sqrt(g) * np.linalg.norm(x)
-    if not (np.all(np.isfinite(steps)) and np.max(np.abs(steps)) <= 0.75 * math.pi and np.min(np.abs(f)) > noise):
-        return None
-    return round(float(np.sum(steps)) / (2.0 * math.pi))
+        floor = _gamma(7 * len(np.trim_zeros(x, "b"))) * float(np.sum(np.abs(x)))
+        if not (np.all(np.isfinite(steps)) and np.min(np.abs(f)) > noise):
+            return None
+
+        def turn(a: float, b: float, fa: complex, fb: complex) -> float:
+            step, mid = float(np.angle(fb / fa)), 0.5 * (a + b)
+            if abs(step) <= 0.75 * math.pi:
+                return step
+            fm = complex(np.polyval(x[::-1], np.exp(1j * mid)))
+            if mid in (a, b) or not floor < abs(fm) < math.inf:
+                return math.nan
+            return turn(a, mid, fa, fm) + turn(mid, b, fm, fb)
+
+        for j in np.flatnonzero(np.abs(steps) > 0.75 * math.pi):
+            steps[j] = turn(2.0 * math.pi * (j + 1) / g, 2.0 * math.pi * (j + 2) / g, f[j], f[(j + 1) % g])
+    return None if np.isnan(steps).any() else round(float(np.sum(steps)) / (2.0 * math.pi))
 
 
 def circle_min_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[float, complex]:

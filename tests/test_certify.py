@@ -475,16 +475,6 @@ def _fail_roots(kernel, n):
     raise NonConvergence(f"residual nan above 1e-08 for p_{n}")
 
 
-def test_marginal_root_failure_not_applicable(monkeypatch):
-    # the roots come last: alternating_cubic passes every circle check, the
-    # zero count is left unresolved, and then p_200 fails
-    monkeypatch.setattr(certify_mod, "pn_roots", _fail_roots)
-    monkeypatch.setattr(certify_mod, "_zeros_inside", lambda coeffs, rho: None)
-    cert = check_marginal_stable(alternating_cubic_kernel())
-    assert cert.verdict == NOT_APPLICABLE
-    assert cert.witness == {"reason": "residual nan above 1e-08 for p_200"}
-
-
 def test_marginal_zero_count_needs_no_roots(monkeypatch):
     # the count finds no zero of s_200 inside 1 - 1e-6, so p_200's roots,
     # failing here, are never asked for
@@ -503,36 +493,52 @@ def test_marginal_zero_inside_the_unit_disk_but_outside_the_count_fires(monkeypa
     assert roots == []
 
 
+# s(z) = 1 - 2 cos(1) z + z^2, simple zeros at e^(+-i), off the circle grid's angles
+_OFF_GRID_CIRCLE_ZEROS = KernelSpec((2.0 * math.cos(1.0), -1.0), TailModel.zero())
+
+
+def test_marginal_circle_zeros_off_the_grid_fire_without_roots(monkeypatch):
+    # the step across each zero is near pi, and its bisected arc books
+    # neither inside 1 - 1e-6
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    cert = check_marginal_stable(_OFF_GRID_CIRCLE_ZEROS)
+    assert cert.verdict == STABLE and cert.rigor == HEURISTIC
+    thetas = [zero["theta"] for zero in cert.witness["circle_zeros"]]
+    assert thetas == pytest.approx([1.0, 2.0 * math.pi - 1.0], abs=2.0 * math.pi / 4096)
+    assert roots == []
+
+
 def test_marginal_zero_inside_the_count_declines_by_its_roots(monkeypatch):
-    # s(z) = 1 - z/(1 - 2e-6): the count reads 1 and the roots decline
+    # s(z) = 1 - z/(1 - 2e-6): the count reads 1 and declines, with no root
     roots = _counting(monkeypatch, certify_mod, "pn_roots")
     cert = check_marginal_stable(KernelSpec((1.0 / (1.0 - 2e-6),), TailModel.zero()))
     assert cert.verdict == NOT_APPLICABLE
-    assert cert.witness["reason"] == "truncation root inside the unit disk"
-    assert cert.witness["r_n"] == pytest.approx(1.0 / (1.0 - 2e-6), rel=1e-12)
-    assert [n for _, n in roots] == [200]
+    assert cert.witness == {"reason": "truncation root inside the unit disk", "zeros_inside": 1}
+    assert roots == []
 
 
-def test_marginal_zero_between_chord_and_arc_declines():
+def test_marginal_zero_between_chord_and_arc_declines(monkeypatch):
     # a conjugate pair at |z0| = 1 - 1.1e-6, a quarter grid step past pi/2:
     # inside 1 - 1e-6, but outside the chord between the two nearest of the
     # 4,096 samples, so the summed steps read 0; its step is within h/2 of
-    # pi, the count gives up, and the roots decline
+    # pi, and the bisected arc books the pair inside
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
     z0 = cmath.rect(1.0 - 1.1e-6, 0.5 * math.pi + 0.25 * (2.0 * math.pi / 4096))
     w = 1.0 / z0
     cert = check_marginal_stable(KernelSpec((2.0 * w.real, -abs(w) ** 2), TailModel.zero()))
     assert cert.verdict == NOT_APPLICABLE
-    assert cert.witness["reason"] == "truncation root inside the unit disk"
-    assert cert.witness["r_n"] == pytest.approx(1.0 / (1.0 - 1.1e-6), rel=1e-12)
+    assert cert.witness == {"reason": "truncation root inside the unit disk", "zeros_inside": 2}
+    assert roots == []
 
 
-def test_marginal_truncation_root_inside_disk_not_applicable():
+def test_marginal_truncation_root_inside_disk_not_applicable(monkeypatch):
     # s(z) = (1 - z)(1 + 1.5625 z^2): a simple zero at z = 1 passes the circle
-    # checks, and the zeros +-0.8i inside the disk give r_n = 1.25
+    # checks, and the count books the zeros +-0.8i inside the disk
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
     cert = check_marginal_stable(KernelSpec((1.0, -1.5625, 1.5625), TailModel.zero()))
     assert cert.verdict == NOT_APPLICABLE
-    assert cert.witness["reason"] == "truncation root inside the unit disk"
-    assert cert.witness["r_n"] == pytest.approx(1.25, rel=1e-12)
+    assert cert.witness == {"reason": "truncation root inside the unit disk", "zeros_inside": 2}
+    assert roots == []
 
 
 def _circle_pair(center):
@@ -735,10 +741,21 @@ def test_certify_computes_each_analysis_once(monkeypatch):
     scans = _counting(monkeypatch, certify_mod, "test_real_axis_root")
     rep = certify_mod.certify(alternating_cubic_kernel(), steps=200)
     assert rep.final_criterion == "MarginalStable"
-    # the Rouche pass computes each degree's roots once, and the zero count
-    # spares MarginalStable its roots of p_200
+    # the Rouche pass computes each degree's roots once, and MarginalStable
+    # computes none: its zero count decides
     assert [n for _, n in roots] == list(range(1, 33))
     assert len(scans) == 1
+
+
+@pytest.mark.parametrize("name", [*paper_kernels(), "off_grid_circle_zeros"])
+def test_certify_computes_no_root_set_above_max_degree(monkeypatch, name):
+    # root sets come only from the Rouche pass over n = 1..max_degree, though
+    # MarginalStable runs at degree 200
+    roots = _counting(monkeypatch, certify_mod, "pn_roots")
+    rep = certify_mod.certify(paper_kernels().get(name, _OFF_GRID_CIRCLE_ZEROS), steps=200)
+    assert all(1 <= n <= 32 for _, n in roots)
+    if name == "off_grid_circle_zeros":
+        assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == (STABLE, "MarginalStable", HEURISTIC)
 
 
 # the reports of the two R < 1 fixtures, less their 64 Rouche attempts

@@ -18,7 +18,6 @@ from volterra_stability import (
     partial_sum_eval,
     pn_roots,
 )
-from volterra_stability.certify import _MARGINAL_ROOT_SLACK
 from volterra_stability.charfun import _polish_roots, _zeros_inside, pn_coefficients, sn_coefficients
 
 from conftest import (
@@ -343,10 +342,12 @@ def test_sn_pn_coefficient_layout():
 # ---------------------------------------------------------------------------
 # zero count inside the marginal heuristic's circle
 
-_MARGINAL_RHO = 1.0 / _MARGINAL_ROOT_SLACK
-# planted zero moduli: on the circle, 1e-5 to either side, and 1e-7 inside,
-# which is inside the unit disk but outside rho = 1 - 1e-6
-_PLANTED_RADII = (1.0, 1.0 - 1e-5, 1.0 + 1e-5, 1.0 - 1e-7)
+# the radius on which MarginalStable counts, and the root modulus it stands for
+_MARGINAL_RHO = 1.0 - 1e-6
+_MARGINAL_ROOT_SLACK = 1.0 / _MARGINAL_RHO
+# planted zero moduli: on the circle, 1e-5 to either side, 1e-7 inside, which
+# is inside the unit disk but outside rho, and 1e-7 inside rho
+_PLANTED_RADII = (1.0, 1.0 - 1e-5, 1.0 + 1e-5, 1.0 - 1e-7, _MARGINAL_RHO - 1e-7)
 
 
 def _conjugate_closed(zeros):
@@ -403,8 +404,21 @@ def test_zeros_inside_gives_up_below_the_fft_noise():
 def test_zeros_inside_double_zeros_at_the_circle_never_read_zero(radius):
     # a double zero within a grid step of the circle turns one step by about
     # 2 pi, which no sample sees: inside 1 - 1e-6 each double pair books 1
-    # zero of its 2, on |z| = 1 it books 1 that is not inside; both leave the
-    # decision to the roots
+    # zero of its 2, on |z| = 1 it books 1 that is not inside; MarginalStable
+    # declines on both counts
     z0 = cmath.rect(radius, 1.0)
     kernel = _kernel_with_zeros([z0, z0, z0.conjugate(), z0.conjugate()])
     assert _zeros_inside(sn_coefficients(kernel, 4), _MARGINAL_RHO) == 2
+
+
+@pytest.mark.parametrize("angle", [1.0, 0.5 * math.pi + 0.25 * (2.0 * math.pi / 4096)], ids=["one-radian", "past-half-pi"])
+@pytest.mark.parametrize("radius, inside", [(_MARGINAL_RHO - 1e-7, 2), (_MARGINAL_RHO + 1e-5, 0)], ids=["inside", "outside"])
+@pytest.mark.parametrize("n", [2, 200])
+def test_zeros_inside_bisects_the_wide_step_of_a_pair_off_the_grid(n, radius, inside, angle):
+    # a simple conjugate pair off the grid's angles, 1e-7 inside rho or 1e-5
+    # outside it: the step across each zero is near pi, and the bisected arc
+    # books the pair on its own side
+    z0 = cmath.rect(radius, angle)
+    kernel = _kernel_with_zeros([z0, z0.conjugate()])
+    assert _zeros_inside(sn_coefficients(kernel, n), _MARGINAL_RHO) == inside
+    assert int(np.sum(pn_roots(kernel, n).moduli > _MARGINAL_ROOT_SLACK)) == inside
