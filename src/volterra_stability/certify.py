@@ -15,6 +15,8 @@ the inequality's direction.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,7 @@ from .kernel import (
     KernelSpec,
     SumEnclosure,
     _require,
+    _gamma,
     _value_upper_bound,
     kernel_id,
     power_series_value,
@@ -43,6 +46,7 @@ from .kernel import (
     series_sum,
     support_gcd,
     tail_abs_sum,
+    terms,
 )
 from .simulate import (
     BOUNDED_NON_DECAYING,
@@ -85,6 +89,9 @@ HEURISTIC = "heuristic"
 # EFP unit-sum acceptance needs the enclosure at least this tight
 _EFP_SUM_WIDTH = 1e-9
 _CIRCLE_NEAR_ZERO = 0.05
+# the power sums P_1..P_M of p_n's roots that bound r_n from below; degrees
+# n >= M share them, since P_m reads a_1..a_m alone once m <= n
+_POWER_SUMS = 128
 
 
 @dataclass(frozen=True)
@@ -199,6 +206,49 @@ def _roots(kernel: KernelSpec, n: int) -> RootSet | dict:
         return pn_roots(kernel, n)
     except NonConvergence as e:
         return {"reason": str(e)}
+
+
+def _rouche_degrees(kernel: KernelSpec, max_degree: int) -> Iterator[bool]:
+    """For n = 1..N = max_degree, whether a Rouché test may fire at degree n,
+    by certify's two skip conditions.  A generator: nothing is computed before
+    degree 1 is asked for.  The Cauchy gate's sums are padded by gamma_(N+1)
+    (N - 1 roundings in the sum, 2 in the pad), the lower end of L_n by
+    gamma_(N+11) (9 in a tail term, as in kernel._explicit, N - 1 in the sum, 1
+    adding L_N.lo, 2 in the pad).
+    """
+    a = terms(kernel, max_degree)
+    size = np.abs(a)
+    with np.errstate(over="ignore"):  # a sum past float range passes no gate
+        inside = int(np.count_nonzero(np.cumsum(size)[1:] * (1.0 + _gamma(max_degree + 1)) <= 1.0))
+        if inside:  # the degrees 1..inside, where Sum_{k<=n} |a_k| <= 1
+            sums = np.abs(_power_sums(a, min(inside, _POWER_SUMS)))
+            tail = tail_abs_sum(kernel, max_degree)
+            rest = np.append(np.cumsum(size[:0:-1])[::-1], 0.0)  # rest[n] = Sum_{n<k<=N} |a_k|
+            floor = ((tail.lo if tail.is_finite else 0.0) + rest) * (1.0 - _gamma(max_degree + 11))
+    inverse = 1.0 / np.arange(1, _POWER_SUMS + 1)
+    for n in range(1, inside + 1):
+        # |P_m| <= n r_n^m, and every P_m is finite: the roots lie in the closed unit disk
+        r_lo = (1.0 - 1e-6) * float(np.max((sums[min(n, _POWER_SUMS) - 1] / n) ** inverse))
+        yield not (r_lo >= 1.0 or 2.0 * (1.0 - r_lo) ** n <= floor[n])
+    yield from itertools.repeat(True, max_degree - inside)
+
+
+def _power_sums(a: np.ndarray, rows: int) -> np.ndarray:
+    """P[n - 1, m - 1] = Sum_i z_i^m over the roots z_i of p_n, for n = 1..rows
+    and m = 1..M, by Newton's identities, which are the Volterra recursion
+    P_m = Sum_{k<=min(m-1,n)} a_k P_(m-k) + m a_m, the last term only for m <= n.
+    One step per m serves every row."""
+    m_max = _POWER_SUMS
+    k = np.arange(m_max + 1)
+    coef = np.zeros((rows, 1, m_max + 1))  # coef[n - 1, 0, k] = a_k for k <= n, else 0
+    coef[:, 0, 1 : len(a)] = a[1 : m_max + 1]
+    coef[k > np.arange(1, rows + 1)[:, None, None]] = 0.0
+    forcing = k * coef[:, 0]
+    rev = np.zeros((rows, m_max))  # rev[:, M - m] = P_m, so that a_1..a_(m-1) meet P_(m-1)..P_1
+    column = rev[:, :, None]
+    for m in range(1, m_max + 1):
+        rev[:, m_max - m] = (coef[:, :, 1:m] @ column[:, m_max - m + 1 :])[:, 0, 0] + forcing[:, m]
+    return rev[:, ::-1]
 
 
 def test_rouche_stable(kernel: KernelSpec, n: int) -> Certificate:
@@ -348,6 +398,16 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
     The fallback trajectory comes from ``solve_fast`` (same contract as
     ``solve``, which it calls itself when R < 1).  Per degree n, RoucheStable
     then RoucheUnstable run on one root set of p_n, and on none when R < 1.
+
+    The roots of p_n are computed only where a Rouché test may fire.  While
+    Sum_{k<=n} |a_k| <= 1 (Cauchy's bound: every root of p_n then lies in
+    |z| <= 1), RoucheUnstable, which needs r_n > 1, cannot fire, and the
+    degree is skipped when RoucheStable cannot fire either: r_lo >= 1 or
+    2 (1 - r_lo)^n <= L_N.lo + Sum_{n<k<=N} |a_k| <= L_n, N = max_degree, with
+    r_lo = (1 - 1e-6) max_{m<=128} (|P_m| / n)^(1/m) <= r_n from the power sums
+    P_m of p_n's roots (Newton's identities).  A skipped degree is recorded as
+    a degree whose tests decline, {criterion, not_applicable, n}: a skip
+    decides nothing, so it can lose a certificate but never forge one.
     """
     _require("max_degree", max_degree, 1, _MAX_DEGREE)
     _require("steps", steps, 100, _MAX_STEPS)
@@ -358,8 +418,8 @@ def certify(kernel: KernelSpec, max_degree: int = 32, steps: int = 10_000, grid_
         yield test_absolute_sum(kernel), {}
         yield test_efp(kernel), {}
         yield test_real_axis_root(kernel, grid_points), {}
-        for n in range(1, max_degree + 1):
-            roots = _roots(kernel, n)
+        for n, may_fire in enumerate(_rouche_degrees(kernel, max_degree), 1):
+            roots = _roots(kernel, n) if may_fire else {}
             yield _rouche_stable(kernel, roots, n), {"n": n}
             yield _rouche_unstable(kernel, roots, n), {"n": n}
         yield _marginal_stable(kernel, max(200, max_degree), grid_points), {}

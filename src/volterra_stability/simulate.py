@@ -58,6 +58,8 @@ _DOT_CHUNK = 8192
 # rescale the reduced trajectory when it drifts this deep into the exponent range
 _RENORM_LIMIT = 2.0 ** -600
 _RENORM_FACTOR = 2.0 ** 600
+# values per chunk of the stop rule's and classify's scans: 512 KiB of float64
+_SCAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,25 @@ def _limit(steps: int, x0: float, thresholds: Thresholds | None) -> float:
     return 10.0 * (thresholds or Thresholds()).unbounded_cutoff
 
 
+def _first(x: np.ndarray, start: int, hit) -> int | None:
+    """The first index i >= start where hit(x[i]), or None.  The scan runs in
+    chunks of _SCAN values, so hit's temporaries never span a long x."""
+    for lo in range(start, len(x), _SCAN):
+        found = np.flatnonzero(hit(x[lo : lo + _SCAN]))
+        if found.size:
+            return lo + int(found[0])
+    return None
+
+
 def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
     """The stop rule: (values, truncated, overflow) for the computed x.
 
     Scans x_1, x_2, ... (never x_0, the caller's value): the values end before
     the first non-finite x_n, or at the first |x_n| > limit.
     """
-    bad = np.flatnonzero(~np.isfinite(x[1:]) | (np.abs(x[1:]) > limit))
-    if bad.size == 0:
+    n = _first(x, 1, lambda v: ~np.isfinite(v) | (np.abs(v) > limit))
+    if n is None:
         return x, False, False
-    n = int(bad[0]) + 1
     if math.isfinite(x[n]):
         return x[: n + 1].copy(), True, False
     return x[:n].copy(), True, True
@@ -323,25 +334,24 @@ def classify(trajectory: Trajectory, thresholds: Thresholds | None = None) -> Em
     between Decaying, BoundedNonDecaying, and Inconclusive (still moving).
     """
     th = thresholds or Thresholds()
-    vals = np.abs(np.asarray(trajectory.values))
-    n = vals.shape[0]
+    values = np.asarray(trajectory.values)
+    n = values.shape[0]
     if n == 0:
         return EmpiricalVerdict(INCONCLUSIVE, 0, math.nan)
     if trajectory.overflow:
         return EmpiricalVerdict(UNBOUNDED, n - 1, float(trajectory.values[-1]))
-    over = np.nonzero(vals > th.unbounded_cutoff)[0]
-    if over.size:
-        i = int(over[0])
+    i = _first(values, 0, lambda v: np.abs(v) > th.unbounded_cutoff)
+    if i is not None:
         return EmpiricalVerdict(UNBOUNDED, i, float(trajectory.values[i]))
     if n < 100:
         return EmpiricalVerdict(INCONCLUSIVE, n - 1, float(trajectory.values[-1]))
     w = max(1, int(th.window_fraction * n))
-    tail = vals[n - w :]
+    tail = np.abs(values[n - w :])
     widx = int(np.argmax(tail)) + n - w
-    wmax = float(vals[widx])
+    wmax = float(tail[widx - (n - w)])
     if wmax <= th.decay_level:
         return EmpiricalVerdict(DECAYING, widx, float(trajectory.values[widx]))
-    prev = vals[max(0, n - 2 * w) : n - w]
+    prev = np.abs(values[max(0, n - 2 * w) : n - w])
     pmax = float(np.max(prev)) if prev.size else wmax
     if wmax < 0.9 * pmax or wmax > (1.0 + w / (2 * n)) * pmax:
         # still descending faster than 10% per window, or rising by more than

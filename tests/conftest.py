@@ -159,6 +159,24 @@ def random_bounded_kernel(rng, total_low=0.1, total_high=0.9, q_max=0.9):
     )
 
 
+def class_u_kernels():
+    """The 400 undecided-class kernels of ROADMAP.md ("class U"), in draw order:
+    random.Random(7); a prefix of randint(0, 5) entries from U(-1.2, 1.2);
+    c = ±U(0.01, 1) and q = ±U(0.05, 0.98), each sign drawn before its size;
+    alpha = beta = 0 when random() < 0.5, else both from U(0, 3)."""
+    import random
+
+    r = random.Random(7)
+    for _ in range(400):
+        prefix = tuple(r.uniform(-1.2, 1.2) for _ in range(r.randint(0, 5)))
+        c = r.choice([-1.0, 1.0]) * r.uniform(0.01, 1.0)
+        q = r.choice([-1.0, 1.0]) * r.uniform(0.05, 0.98)
+        alpha = beta = 0.0
+        if r.random() >= 0.5:
+            alpha, beta = r.uniform(0.0, 3.0), r.uniform(0.0, 3.0)
+        yield KernelSpec(prefix, TailModel.parametric(c, q, alpha, beta))
+
+
 def random_root_set(rng, max_degree=16, force_outside=True):
     """Synthetic root sets for the delta/E-bound property suites."""
     from volterra_stability import RootSet

@@ -1,8 +1,12 @@
 import cmath
+import functools
 import importlib
+import importlib.util
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from volterra_stability.charfun import pn_coefficients, sn_coefficients
 
 from conftest import (
     alternating_cubic_kernel,
+    class_u_kernels,
     geometric_half_kernel,
     geometric_null_kernel,
     paper_kernels,
@@ -741,9 +746,11 @@ def test_certify_computes_each_analysis_once(monkeypatch):
     scans = _counting(monkeypatch, certify_mod, "test_real_axis_root")
     rep = certify_mod.certify(alternating_cubic_kernel(), steps=200)
     assert rep.final_criterion == "MarginalStable"
-    # the Rouche pass computes each degree's roots once, and MarginalStable
-    # computes none: its zero count decides
-    assert [n for _, n in roots] == list(range(1, 33))
+    # the Rouche pass computes a degree's roots at most once, and only where a
+    # test may fire: every partial sum of |a_k| stays below 1, and the power
+    # sums rule RoucheStable out from degree 2 on.  MarginalStable computes
+    # none: its zero count decides
+    assert [n for _, n in roots] == [1]
     assert len(scans) == 1
 
 
@@ -756,6 +763,52 @@ def test_certify_computes_no_root_set_above_max_degree(monkeypatch, name):
     assert all(1 <= n <= 32 for _, n in roots)
     if name == "off_grid_circle_zeros":
         assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == (STABLE, "MarginalStable", HEURISTIC)
+
+
+@functools.cache
+def _skip_kernels() -> tuple:
+    """The nine fixtures, one kernel_sweep block of the benchmark (every sweep
+    class at least once) and the first 60 class-U kernels."""
+    spec = importlib.util.spec_from_file_location("workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    sweep = [k for _, k in workloads.sweep_block(1, 0)]
+    return (*paper_kernels().values(), *sweep, *itertools.islice(class_u_kernels(), 60))
+
+
+def test_rouche_skip_never_passes_over_a_fire():
+    # at every degree the root-free check skips, the roots of p_n make neither
+    # Rouche test fire; it must skip somewhere, or it checks nothing
+    skipped = 0
+    for k in _skip_kernels():
+        for n, may_fire in enumerate(certify_mod._rouche_degrees(k, 32), 1):
+            if not may_fire:
+                skipped += 1
+                roots = certify_mod._roots(k, n)
+                assert not certify_mod._rouche_stable(k, roots, n).fired, (k, n)
+                assert not certify_mod._rouche_unstable(k, roots, n).fired, (k, n)
+    assert skipped >= 500
+
+
+def test_rouche_skip_keeps_every_report_byte(monkeypatch):
+    # a skipped degree is recorded as a declining one, so forcing every degree
+    # to compute its roots moves no byte of any report
+    kernels = _skip_kernels()
+    gated = [json.dumps(report_to_dict(certify(k, steps=500))) for k in kernels]
+    monkeypatch.setattr(certify_mod, "_rouche_degrees", lambda kernel, max_degree: itertools.repeat(True, max_degree))
+    assert [json.dumps(report_to_dict(certify(k, steps=500))) for k in kernels] == gated
+
+
+def test_power_sums_match_the_roots():
+    # Newton's identities against Sum z_i^m over pn_roots, for degrees below
+    # and above the number of power sums (rows n >= 128 share theirs)
+    k = KernelSpec((0.3, -0.2, 0.1, 0.25), TailModel.parametric(0.2, -0.95, 1.0, 0.0))
+    sums = certify_mod._power_sums(terms(k, 200), 128)
+    m = np.arange(1, 129)
+    for n in (1, 3, 6, 128, 200):
+        z = np.asarray(pn_roots(k, n).roots)
+        want = np.array([np.sum(z**j) for j in m])
+        assert np.abs(sums[min(n, 128) - 1] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 # the reports of the two R < 1 fixtures, less their 64 Rouche attempts
@@ -814,12 +867,13 @@ def test_certify_small_radius_computes_no_roots(monkeypatch, name):
 
 def test_certify_stops_at_the_first_deciding_degree(monkeypatch):
     # each degree runs both Rouche tests on its roots, so an instability proved
-    # at n = 2 computes no root of a higher degree
+    # at n = 2 computes no root of a higher degree; degree 1 computes none
+    # either, since a_1 = 0 gives r_1 = 0 and 2 (1 - 0)^1 <= L_1, about 4
     roots = _counting(monkeypatch, certify_mod, "pn_roots")
     rep = certify_mod.certify(KernelSpec((0.0, -4.0), TailModel.parametric(0.01, 0.5)))
     assert (rep.final_verdict, rep.final_criterion, rep.final_rigor) == (UNSTABLE, "RoucheUnstable", RIGOROUS)
     assert rep.final_witness["n"] == 2 and rep.final_witness["bound"] == "E1"
-    assert [n for _, n in roots] == [1, 2]
+    assert [n for _, n in roots] == [2]
 
 
 @pytest.mark.parametrize("name", ["alternating_cubic", "geometric_half"])

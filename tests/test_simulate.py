@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from volterra_stability import (
     DECAYING,
     INCONCLUSIVE,
     UNBOUNDED,
+    EmpiricalVerdict,
     KernelSpec,
     TailModel,
     Thresholds,
@@ -406,6 +408,38 @@ def test_custom_thresholds_change_cutoff(run):
     assert len(t.values) == 15
     v = classify(t, Thresholds(unbounded_cutoff=1e3))
     assert v.kind == UNBOUNDED
+
+
+def test_stop_rule_and_classify_scan_in_chunks():
+    # neither builds a temporary as long as the values: on 2^22 of them they
+    # allocate at most an eighth of the values' bytes
+    x = np.cos(np.arange(2**22) * 1e-3)
+    tracemalloc.start()
+    try:
+        values, truncated, overflow = simulate_mod._cut(x, 1e13)
+        verdict = classify(simulate_mod.Trajectory(values, "k", "direct"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values is x and not truncated and not overflow and verdict.kind == BOUNDED_NON_DECAYING
+    assert peak <= x.nbytes / 8
+
+
+@pytest.mark.parametrize("at", [1, 2**16 - 1, 2**16, 2**16 + 1, 200_000])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -2e13])
+def test_stop_rule_across_chunk_edges(at, bad):
+    # the chunked scan stops where one scan over all of x_1.. stops
+    x = np.ones(200_001)
+    x[at] = bad
+    x[at + 1 :] = 5e13  # a later stop must not win
+    first = int(np.flatnonzero(~np.isfinite(x[1:]) | (np.abs(x[1:]) > 1e13))[0]) + 1
+    values, truncated, overflow = simulate_mod._cut(x, 1e13)
+    assert first == at and truncated and overflow == (not math.isfinite(bad))
+    assert len(values) == (at if overflow else at + 1)
+    # and classify's cutoff scan finds the first |x_n| past the cutoff
+    y = np.ones(200_001)
+    y[at:] = -2e12
+    assert classify(simulate_mod.Trajectory(y, "k", "direct")) == EmpiricalVerdict(UNBOUNDED, at, -2e12)
 
 
 # ---------------------------------------------------------------------------
