@@ -23,8 +23,8 @@ from volterra_stability import (
 # x = (1, -3, 0, 0, ...).  Internally the recursion runs on the rescaled
 # sequence a_n / 3^n so the coefficients never overflow and the cancellation
 # stays exact; the zeros below are exact zeros, even at n = 1000.  A tail
-# c q^n like this one needs only a running sum of the past, so each step
-# costs O(1) work past the prefix, not O(n).
+# c q^n like this one, whatever q is (the zero tail too), needs only a running
+# sum of the past, so each step costs O(1) work past the prefix, not O(n).
 null = KernelSpec((), TailModel.parametric(-1.0, 3.0))
 t = solve(null, 1000)
 print("null kernel:", t.values[:6], "... max |x_n| for n >= 2:", np.max(np.abs(t.values[2:])))

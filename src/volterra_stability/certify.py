@@ -382,7 +382,7 @@ def _summarize(traj: Trajectory) -> dict:
     vals = traj.values
     return {
         "length": int(len(vals)),
-        "max_abs": float(np.max(np.abs(vals))),
+        "max_abs": float(max(np.max(vals), -np.min(vals))),  # no temporary as long as the values
         "last": float(vals[-1]),
         "truncated": bool(traj.truncated),
         "overflow": bool(traj.overflow),

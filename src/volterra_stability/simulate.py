@@ -16,15 +16,18 @@ n >= 1, so x_0 never stops a run.  Kernels whose tail ratio |q| exceeds 1 are
 internally rescaled by q**-n so the recursion runs on bounded coefficients;
 that keeps exactly-cancelling trajectories (for instance geometric kernels
 whose solution dies after two steps) exactly zero instead of overflowing.
-The direct recursion is quadratic in the steps, except on such a tail without
-polynomial factors (alpha = beta = 0): there the whole tail's share of x_n is
-one running sum, so each step costs O(N) for a prefix of N terms.
+The direct recursion picks its path by the tail's shape.  A tail without
+polynomial factors (alpha = beta = 0, the zero tail included) has a rational
+generating function: the whole tail's share of x_n is one running sum, so each
+step costs O(N) for a prefix of N terms, whatever q is.  Every other tail is
+summed over the whole history, quadratic in the steps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -60,6 +63,10 @@ _RENORM_LIMIT = 2.0 ** -600
 _RENORM_FACTOR = 2.0 ** 600
 # values per chunk of the stop rule's and classify's scans: 512 KiB of float64
 _SCAN = 1 << 16
+# _run_geometric sums a prefix of at most this many terms in a Python loop and
+# a longer one by np.dot over its window: the two cost the same at 22 terms
+# (about 13 ms per 10^4 steps on 2 shared cores)
+_LOOP_TERMS = 21
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,16 @@ def _inner_dot(a_rev: np.ndarray, x: np.ndarray, n: int) -> float:
     return math.fsum(parts)
 
 
+def _dot(a: np.ndarray, x: np.ndarray) -> float:
+    """a . x in _inner_dot's order.  A separate function, since calling it from
+    _inner_dot's chunked case, with the two views it needs, cost the quadratic
+    sum about 5% at 2^14 steps."""
+    n = x.shape[0]
+    if n <= _COMPENSATE_FROM:
+        return float(np.dot(a, x))
+    return math.fsum(float(np.dot(a[s : s + _DOT_CHUNK], x[s : s + _DOT_CHUNK])) for s in range(0, n, _DOT_CHUNK))
+
+
 def _reversed_coeffs(a: np.ndarray) -> np.ndarray:
     # a_rev[j] = a_{L-j} for j in 0..L-1; slicing a_rev[L-n:] yields (a_n..a_1)
     return np.ascontiguousarray(a[1:][::-1])
@@ -158,12 +175,15 @@ def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
 def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thresholds | None = None) -> Trajectory:
     """Direct evaluation of the recursion, oldest index first.
 
-    O(steps^2) work, or O(N) per step for a tail c q^n with |q| > 1 after a
-    prefix of N terms.
+    O(N) work per step for a tail c q^n (alpha = beta = 0, or q = 0, whose
+    terms are all 0) after a prefix of N terms, ``_run_geometric``; O(steps^2) for
+    any other tail, on a_n / q^n when R < 1 (``_run_scaled``), else on a_n.
     """
     limit = _limit(steps, x0, thresholds)
     with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
-        if radius_of_convergence(kernel) < 1.0:
+        if kernel.tail.q == 0.0 or kernel.tail.alpha == kernel.tail.beta == 0:
+            values, truncated, overflow = _run_geometric(kernel, steps, x0, limit)
+        elif radius_of_convergence(kernel) < 1.0:
             values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
         else:
             values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, limit)
@@ -186,8 +206,6 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     t = kernel.tail
     q = t.q
     pref = tuple(_reduce(v, q, i + 1) for i, v in enumerate(kernel.prefix))
-    if t.alpha == t.beta == 0:
-        return _run_geometric(pref, t.c, q, steps, x0, limit)
     a_rev = _reversed_coeffs(terms(KernelSpec(pref, TailModel.parametric(t.c, 1.0, t.alpha, t.beta)), steps))
     u = np.zeros(steps + 1)
     x = np.zeros(steps + 1)
@@ -210,38 +228,75 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     return _cut(x, limit)
 
 
-def _run_geometric(b: tuple, c: float, q: float, steps: int, x0: float, limit: float):
-    """The reduced recursion of a c q^n tail (alpha = beta = 0) in O(N) work per step.
+def _run_geometric(kernel: KernelSpec, steps: int, x0: float, limit: float):
+    """The recursion of a tail c q^n without polynomial factors (alpha = beta = 0,
+    the zero tail included) in O(N) work per step after a prefix of N terms.
 
-    The reduced coefficients are b_1..b_N, then c from N + 1 on, so
-    u_n = sum_{k<=N} b_k u_{n-k} + c S_{n-N-1}, where S_m = S_{m-1} + u_m and
-    S_{-1} = 0.  Only u_{n-N-1}..u_{n-1} and S are live.  c multiplies S
-    afresh at each step: folded into the differenced coefficients of
-    (1 - z)(1 - b(z)) - c z^{N+1}, or summed as c u_m, a subnormal c loses
-    its bits.  When everything the next step reads sinks below 2^-600, u and
-    S, never the stored x, are rescaled by 2^600.
+    It runs on u_n = x_n / s^n with s = q when |q| > 1, so the coefficients stay
+    bounded, and s = 1 otherwise.  The reduced coefficients are b_k = a_k / s^k
+    for k <= N, then c r^k with the ratio r = q / s from N + 1 on, so
+    u_n = sum_{k<=N} b_k u_{n-k} + c r^{N+1} T_{n-N-1}, where
+    T_m = r T_{m-1} + u_m and T_{-1} = 0: for |q| > 1, r = 1 and the tail's
+    first reduced term is c itself.  c multiplies r^{N+1} T afresh at each
+    step: folded into differenced coefficients, or summed as c u_m, a
+    subnormal c loses its bits.  Only u_{n-N-1}..u_{n-1} and T are live.  A
+    prefix of at most _LOOP_TERMS terms is summed oldest index first in a
+    Python loop over a deque of them; past that, where the loop costs more
+    than a numpy call, by one dot over their window in a buffer of
+    N + 1 + _SCAN values, whose last N + 1 move to its front when it fills.
+    When everything the next step reads sinks below 2^-600, u and T, never
+    the stored x, are rescaled by 2^600.
     """
-    live = deque([0.0] * len(b) + [x0], maxlen=len(b) + 1)  # u_{n-N-1}..u_{n-1}
-    b_rev = b[::-1]
+    t = kernel.tail
+    s = t.q if abs(t.q) > 1.0 else 1.0
+    r = t.q / s
+    c = t.c
+    b_rev = [_reduce(v, s, k) for k, v in enumerate(kernel.prefix, 1)][::-1]
+    pre = len(b_rev)
+    rn = r ** (pre + 1)  # 1.0 when s = q, so the share is c T as for the reduced tail c
+    looped = pre <= _LOOP_TERMS
+    if looped:
+        live = deque([0.0] * pre + [x0], maxlen=pre + 1)  # u_{n-N-1}..u_{n-1}
+    else:
+        b_rev = np.array(b_rev)
+        u = np.zeros(pre + 1 + _SCAN)
+        u[pre] = x0
+        p = pre + 1  # u[p - N - 1 : p] holds u_{n-N-1}..u_{n-1}
     x = np.zeros(steps + 1)
     x[0] = x0
-    total = 0.0  # S_{n-N-1} once step n has added u_{n-N-1}
-    pw = 1.0  # q^n * 2^-sigma, as in _run_scaled
+    xv = memoryview(x)  # whose item assignment costs about half of numpy's
+    hi = min(limit, sys.float_info.max)  # so lo <= x_n <= hi fails on nan and +-inf too
+    lo = -hi
+    total = 0.0  # T_{n-N-1} once step n has added u_{n-N-1}
+    pw = 1.0  # s^n * 2^-sigma, as in _run_scaled
     for n in range(1, steps + 1):
-        total += live[0]
-        un = c * total  # oldest index first: the tail's share, then b_N u_{n-N}..b_1 u_{n-1}
-        for bk, uk in zip(b_rev, islice(live, 1, None)):
-            un += bk * uk
-        live.append(un)
-        pw *= q
-        xn = x[n] = 0.0 if un == 0.0 else pw * un
-        if not math.isfinite(xn) or abs(xn) > limit:
+        if looped:
+            total = r * total + live[0]
+            un = c * (rn * total)  # oldest index first: the tail's share, then b_N u_{n-N}..b_1 u_{n-1}
+            for bk, uk in zip(b_rev, islice(live, 1, None)):
+                un += bk * uk
+            live.append(un)
+        else:
+            if p == u.shape[0]:
+                u[: pre + 1] = u[p - pre - 1 :]
+                p = pre + 1
+            total = r * total + u.item(p - pre - 1)
+            un = u[p] = c * (rn * total) + _dot(b_rev, u[p - pre : p])
+            p += 1
+        pw *= s
+        xn = xv[n] = 0.0 if un == 0.0 else pw * un
+        if not lo <= xn <= hi:
             break
-        if n % 64 == 0 and 0.0 < max(abs(c * total), *map(abs, live)) < _RENORM_LIMIT:
+        if n % 64 == 0:
+            recent = max(max(live), -min(live)) if looped else float(np.max(np.abs(u[p - pre - 1 : p])))
             scaled = total * _RENORM_FACTOR
-            if math.isfinite(scaled):  # S can lie far above its share c S when c is subnormal
+            # T can lie far above its share c r^{N+1} T when c is subnormal: then no rescale
+            if 0.0 < max(abs(c * (rn * total)), recent) < _RENORM_LIMIT and math.isfinite(scaled):
                 # exact power-of-two rescale of everything the recursion reads again
-                live = deque([w * _RENORM_FACTOR for w in live], maxlen=live.maxlen)
+                if looped:
+                    live = deque([w * _RENORM_FACTOR for w in live], maxlen=live.maxlen)
+                else:
+                    u[p - pre - 1 : p] *= _RENORM_FACTOR
                 total = scaled
                 pw /= _RENORM_FACTOR
     return _cut(x, limit)

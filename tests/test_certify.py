@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -881,6 +882,20 @@ def test_certify_fallback_runs_solve_fast(name):
     k = paper_kernels()[name]
     rep = certify(k)
     assert rep.trajectory_summary == certify_mod._summarize(solve_fast(k, 10_000))
+
+
+def test_summary_builds_no_full_length_temporary():
+    # max |x_n| from the largest and the smallest value: on 2^22 values the
+    # summary allocates at most an eighth of their bytes
+    x = np.cos(np.arange(2**22) * 1e-3) - 0.25
+    tracemalloc.start()
+    try:
+        summary = certify_mod._summarize(certify_mod.Trajectory(x, "k", "direct"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["max_abs"] == float(np.max(np.abs(x))) > 1.2  # the smallest value decides
+    assert peak <= x.nbytes / 8
 
 
 def _seeded_kernels():

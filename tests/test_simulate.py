@@ -38,6 +38,8 @@ from conftest import (
     geometric_half_kernel,
     geometric_null_kernel,
     renewal_kernel,
+    rouche_table_kernel,
+    rouche_unstable_pair_kernel,
     small_radius_unstable_kernel,
 )
 
@@ -141,12 +143,14 @@ def test_nonfinite_x0_rejected(run, x0):
 
 
 def test_solve_overflow_flags():
-    # jump from moderate values straight past float range
+    # jump from moderate values straight past float range, also where the
+    # stop limit, ten times the cutoff, is inf
     k = KernelSpec((1e300,), TailModel.zero())
-    t = solve(k, 10, x0=1e-290)
-    assert t.overflow and t.truncated
-    assert np.all(np.isfinite(t.values))
-    assert len(t.values) == 2  # x0, x1 = 1e10; x2 overflows
+    for cutoff in (1e12, 1e308):
+        t = solve(k, 10, x0=1e-290, thresholds=Thresholds(unbounded_cutoff=cutoff))
+        assert t.overflow and t.truncated
+        assert np.all(np.isfinite(t.values))
+        assert len(t.values) == 2  # x0, x1 = 1e10; x2 overflows
 
 
 @pytest.mark.parametrize(
@@ -194,6 +198,16 @@ _GEOMETRIC_Q_ABOVE_ONE = (
 )
 # ROADMAP item 9's example: |x_300| = 2.1e-56, reached only through cancellation
 _ITEM9 = KernelSpec((), TailModel.parametric(-0.4832524171480603, 1.2625694703520396))
+# tails without polynomial factors and |q| <= 1, the zero tail among them:
+# solve runs them by the same recurrence, unreduced
+_GEOMETRIC_Q_UP_TO_ONE = (
+    KernelSpec((0.5, -0.3, 0.2), TailModel.zero()),
+    geometric_half_kernel(),
+    rouche_table_kernel(),
+    KernelSpec((0.5, -0.3, 0.2), TailModel.parametric(0.4, -0.7)),
+    KernelSpec((0.5,), TailModel.parametric(0.1, 1.0)),
+    KernelSpec((0.5,), TailModel.parametric(-0.3, -1.0)),
+)
 
 
 @pytest.mark.parametrize("run", [solve, solve_fast])
@@ -203,6 +217,11 @@ def test_geometric_tail_matches_exact_oracle(run):
         want = np.array([float(v) for v in brute_solve_exact(k, 80)])
         assert len(got) == 81
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+    for k in _GEOMETRIC_Q_UP_TO_ONE:
+        got = run(k, 80).values
+        want = np.array([float(v) for v in brute_solve_exact(k, 80)])
+        assert len(got) == 81
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum.accumulate(np.abs(want)))
 
 
 @pytest.mark.parametrize("run", [solve, solve_fast])
@@ -223,6 +242,17 @@ def test_geometric_tail_keeps_a_subnormal_c(run):
     t = run(KernelSpec((1.0,), TailModel.parametric(1e-320, 2.0)), 3000)
     assert (len(t), t.truncated, t.overflow) == (1106, True, False)
     assert t.values[1105] == pytest.approx(17386027614209.0, rel=1e-12)
+    k = KernelSpec((1.0,), TailModel.parametric(1e-320, 0.5))
+    assert run(k, 40).values.tolist() == [float(v) for v in brute_solve_exact(k, 40)]
+    if run is solve:
+        # at |q| < 1 the recursion is not reduced and the tail's share is
+        # c (q^{N+1} T): from x_0 = 1e300 the tail alone makes x_n past a zero
+        # a_1, and c q^2 formed first would sit on the subnormal grid, 2.4e-4
+        # off at q = 0.7 (solve_fast's a_k from terms() sit there too)
+        k = KernelSpec((0.0,), TailModel.parametric(1e-320, 0.7))
+        got = run(k, 30, x0=1e300).values
+        want = np.array([float(v) for v in brute_solve_exact(k, 30, x0=Fraction(1e300))])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_geometric_path_renormalises_a_tiny_history():
@@ -257,6 +287,40 @@ def test_geometric_tail_never_runs_the_quadratic_sum(run, monkeypatch):
     monkeypatch.setattr(simulate_mod, "_inner_dot", forbidden)
     assert len(run(geometric_null_kernel(3.0), 2**14)) == 2**14 + 1
     assert len(run(_ITEM9, 2**14)) == 2**14 + 1
+    if run is solve:
+        # every other tail without polynomial factors, and a q = 0 tail with them;
+        # solve_fast still computes its resolvent by the quadratic sum when R >= 1.
+        # The lengths are those of the sum over the whole history
+        cases = [
+            (rouche_unstable_pair_kernel(zero_tail=True), 39),
+            (geometric_half_kernel(), 2**14 + 1),
+            (KernelSpec((0.5, -0.3, 0.2), TailModel.parametric(0.4, -0.7)), 2**14 + 1),
+            (KernelSpec((0.5,), TailModel.parametric(0.25, 1.0)), 117),
+            (KernelSpec((0.5,), TailModel.parametric(0.25, -1.0)), 231),
+            (KernelSpec((0.5,), TailModel.parametric(-0.5, -1.0)), 2**14 + 1),
+            (KernelSpec((0.5, -0.25), TailModel.parametric(0.7, 0.0, 1.0, 2.0)), 2**14 + 1),
+        ]
+        for k, length in cases:
+            assert len(run(k, 2**14)) == length
+
+
+@pytest.mark.parametrize("pre", [simulate_mod._LOOP_TERMS, simulate_mod._LOOP_TERMS + 1, 1000])
+@pytest.mark.parametrize("tail", ["zero", "geometric"])
+def test_geometric_tail_after_a_long_prefix_matches_the_direct_sum(monkeypatch, pre, tail):
+    # up to _LOOP_TERMS prefix terms are summed in a loop, more by one dot over
+    # their window, here in a buffer of pre + 51 values whose last pre + 1 move
+    # to its front every 50 steps.  Nonnegative a_k of total mass 1 keep x_n
+    # bounded away from 0
+    a = np.random.default_rng(pre).uniform(0.0, 1.0, pre)
+    if tail == "zero":
+        k = KernelSpec(tuple(a / a.sum()), TailModel.zero())
+    else:  # 0.7 in the prefix, 0.3 in the tail 0.99^n c
+        k = KernelSpec(tuple(0.7 * a / a.sum()), TailModel.parametric(0.3 * 0.01 / 0.99 ** (pre + 1), 0.99))
+    want = simulate_mod._run_plain(simulate_mod.terms(k, 3000), 3000, 1.0, math.inf)[0]
+    monkeypatch.setattr(simulate_mod, "_SCAN", 50)
+    got = solve(k, 3000).values
+    assert len(got) == len(want) == 3001
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum.accumulate(np.abs(want)))
 
 
 def test_scaling_equivariance():
