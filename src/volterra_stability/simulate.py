@@ -5,22 +5,22 @@ multiple of it, so boundedness / decay of this one trajectory decides the
 stability notions the certificate layer reports.
 
 Two evaluation strategies share one contract: ``solve`` is the direct
-recursion, ``solve_fast`` seeds x_0's share a_n x_0 of every x_n,
-accumulates past-block contributions to future indices with FFT convolutions
+recursion, ``solve_fast`` seeds x_0's share a_n x_0 of every x_n, accumulates
+past-block contributions to future indices with FFT convolutions
 (divide-and-conquer blocking) and solves each base block as one convolution
 with the first values of that canonical trajectory, the resolvent
-1/(1 - a(z)); numpy is its only dependency.  Every path ends through one stop
-rule, ``_cut``: the values end before the first non-finite x_n (overflow) or
-at the first |x_n| beyond ten times the unbounded cutoff (truncated), where
-n >= 1, so x_0 never stops a run.  Kernels whose tail ratio |q| exceeds 1 are
-internally rescaled by q**-n so the recursion runs on bounded coefficients;
-that keeps exactly-cancelling trajectories (for instance geometric kernels
-whose solution dies after two steps) exactly zero instead of overflowing.
-The direct recursion picks its path by the tail's shape.  A tail without
-polynomial factors (alpha = beta = 0, the zero tail included) has a rational
-generating function: the whole tail's share of x_n is one running sum, so each
-step costs O(N) for a prefix of N terms, whatever q is.  Every other tail is
-summed over the whole history, quadratic in the steps.
+1/(1 - a(z)); numpy is its only dependency.  Every path stops at the first
+x_n, n >= 1, to fail |x_n| <= bound, for one finite bound: ten times the
+unbounded cutoff, or the largest float if less.  The values end before that
+x_n if it is nan or +-inf (overflow), else at it (truncated).  Kernels whose
+tail ratio |q| exceeds 1 are internally rescaled by q**-n so the recursion
+runs on bounded coefficients; that keeps exactly-cancelling trajectories (for
+instance geometric kernels whose solution dies after two steps) exactly zero
+instead of overflowing.  The direct recursion picks its path by the tail's
+shape.  A tail without polynomial factors (alpha = beta = 0, the zero tail
+included) has a rational generating function: the whole tail's share of x_n
+is one running sum, so each step costs O(N) for a prefix of N terms, whatever
+q is.  Any other tail is summed over the whole history, quadratic in the steps.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ class Thresholds:
 class Trajectory:
     """Computed solution values x_0..x_N plus provenance.
 
-    ``truncated`` marks an early exit after |x_n| crossed ten times the
-    unbounded cutoff; ``overflow`` marks a non-finite value, in which case the
-    stored values end at the last finite entry.
+    ``truncated`` marks an early exit after |x_n| crossed the stop bound,
+    min(10 * unbounded_cutoff, largest float); ``overflow`` marks a non-finite
+    value, in which case the stored values end at the last finite entry.
     """
 
     values: np.ndarray
@@ -113,22 +113,10 @@ class EmpiricalVerdict:
     witness_value: float
 
 
-def _inner_dot(a_rev: np.ndarray, x: np.ndarray, n: int) -> float:
-    """sum_{i<n} a_{n-i} x_i with a fixed, reproducible evaluation order."""
-    off = a_rev.shape[0] - n
-    if n <= _COMPENSATE_FROM:
-        return float(np.dot(a_rev[off:], x[:n]))
-    parts = []
-    for s in range(0, n, _DOT_CHUNK):
-        e = min(n, s + _DOT_CHUNK)
-        parts.append(float(np.dot(a_rev[off + s : off + e], x[s:e])))
-    return math.fsum(parts)
-
-
 def _dot(a: np.ndarray, x: np.ndarray) -> float:
-    """a . x in _inner_dot's order.  A separate function, since calling it from
-    _inner_dot's chunked case, with the two views it needs, cost the quadratic
-    sum about 5% at 2^14 steps."""
+    """a . x in a fixed, reproducible order: one np.dot up to _COMPENSATE_FROM
+    terms, past that math.fsum of the np.dot of each _DOT_CHUNK-term chunk, so
+    the sum does not depend on how many threads BLAS runs."""
     n = x.shape[0]
     if n <= _COMPENSATE_FROM:
         return float(np.dot(a, x))
@@ -141,11 +129,11 @@ def _reversed_coeffs(a: np.ndarray) -> np.ndarray:
 
 
 def _limit(steps: int, x0: float, thresholds: Thresholds | None) -> float:
-    """Check the arguments both solvers share; return the stop limit."""
+    """Check the arguments both solvers share; return the stop bound, min(10 * cutoff, largest float)."""
     _require("steps", steps, 1, _MAX_STEPS)
     if not math.isfinite(x0):
         raise ValueError("x0 must be finite")
-    return 10.0 * (thresholds or Thresholds()).unbounded_cutoff
+    return min(10.0 * (thresholds or Thresholds()).unbounded_cutoff, sys.float_info.max)
 
 
 def _first(x: np.ndarray, start: int, hit) -> int | None:
@@ -158,13 +146,14 @@ def _first(x: np.ndarray, start: int, hit) -> int | None:
     return None
 
 
-def _cut(x: np.ndarray, limit: float) -> tuple[np.ndarray, bool, bool]:
+def _cut(x: np.ndarray, bound: float) -> tuple[np.ndarray, bool, bool]:
     """The stop rule: (values, truncated, overflow) for the computed x.
 
-    Scans x_1, x_2, ... (never x_0, the caller's value): the values end before
-    the first non-finite x_n, or at the first |x_n| > limit.
+    Scans x_1, x_2, ... (never x_0, the caller's value) for the first x_n that
+    fails |x_n| <= bound, finite up to the largest float: the values end
+    before it if it is not finite, else at it.
     """
-    n = _first(x, 1, lambda v: ~np.isfinite(v) | (np.abs(v) > limit))
+    n = _first(x, 1, lambda v: ~(np.abs(v) <= bound))
     if n is None:
         return x, False, False
     if math.isfinite(x[n]):
@@ -179,29 +168,29 @@ def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Threshold
     terms are all 0) after a prefix of N terms, ``_run_geometric``; O(steps^2) for
     any other tail, on a_n / q^n when R < 1 (``_run_scaled``), else on a_n.
     """
-    limit = _limit(steps, x0, thresholds)
+    bound = _limit(steps, x0, thresholds)
     with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
         if kernel.tail.q == 0.0 or kernel.tail.alpha == kernel.tail.beta == 0:
-            values, truncated, overflow = _run_geometric(kernel, steps, x0, limit)
+            values, truncated, overflow = _run_geometric(kernel, steps, x0, bound)
         elif radius_of_convergence(kernel) < 1.0:
-            values, truncated, overflow = _run_scaled(kernel, steps, x0, limit)
+            values, truncated, overflow = _run_scaled(kernel, steps, x0, bound)
         else:
-            values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, limit)
+            values, truncated, overflow = _run_plain(terms(kernel, steps), steps, x0, bound)
     return Trajectory(values, kernel_id(kernel), "direct", x0, truncated, overflow)
 
 
-def _run_plain(a: np.ndarray, steps: int, x0: float, limit: float):
+def _run_plain(a: np.ndarray, steps: int, x0: float, bound: float):
     a_rev = _reversed_coeffs(a)
     x = np.zeros(steps + 1)
     x[0] = x0
     for n in range(1, steps + 1):
-        v = x[n] = _inner_dot(a_rev, x, n)
-        if not math.isfinite(v) or abs(v) > limit:
+        v = x[n] = _dot(a_rev[steps - n :], x[:n])
+        if not abs(v) <= bound:
             break
-    return _cut(x, limit)
+    return _cut(x, bound)
 
 
-def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
+def _run_scaled(kernel: KernelSpec, steps: int, x0: float, bound: float):
     """The recursion on a_n / q^n, whose tail coefficients stay bounded."""
     t = kernel.tail
     q = t.q
@@ -209,15 +198,14 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
     a_rev = _reversed_coeffs(terms(KernelSpec(pref, TailModel.parametric(t.c, 1.0, t.alpha, t.beta)), steps))
     u = np.zeros(steps + 1)
     x = np.zeros(steps + 1)
-    u[0] = x0
-    x[0] = x0
+    u[0] = x[0] = x0
     pw = 1.0  # q^n * 2^-sigma, tracked alongside the rescaled history
     for n in range(1, steps + 1):
-        un = u[n] = _inner_dot(a_rev, u, n)
+        un = u[n] = _dot(a_rev[steps - n :], u[:n])
         pw *= q
         # a non-finite u_n gives a non-finite x_n: the product is inf or nan
         xn = x[n] = 0.0 if un == 0.0 else pw * un
-        if not math.isfinite(xn) or abs(xn) > limit:
+        if not abs(xn) <= bound:
             break
         if n % 64 == 0:
             recent = np.max(np.abs(u[max(0, n - 63) : n + 1]))
@@ -225,10 +213,10 @@ def _run_scaled(kernel: KernelSpec, steps: int, x0: float, limit: float):
                 # exact power-of-two rescale of the reduced history
                 u[: n + 1] *= _RENORM_FACTOR
                 pw /= _RENORM_FACTOR
-    return _cut(x, limit)
+    return _cut(x, bound)
 
 
-def _run_geometric(kernel: KernelSpec, steps: int, x0: float, limit: float):
+def _run_geometric(kernel: KernelSpec, steps: int, x0: float, bound: float):
     """The recursion of a tail c q^n without polynomial factors (alpha = beta = 0,
     the zero tail included) in O(N) work per step after a prefix of N terms.
 
@@ -265,8 +253,7 @@ def _run_geometric(kernel: KernelSpec, steps: int, x0: float, limit: float):
     x = np.zeros(steps + 1)
     x[0] = x0
     xv = memoryview(x)  # whose item assignment costs about half of numpy's
-    hi = min(limit, sys.float_info.max)  # so lo <= x_n <= hi fails on nan and +-inf too
-    lo = -hi
+    lo, hi = -bound, bound  # |x_n| <= bound as lo <= x_n <= hi on local names
     total = 0.0  # T_{n-N-1} once step n has added u_{n-N-1}
     pw = 1.0  # s^n * 2^-sigma, as in _run_scaled
     for n in range(1, steps + 1):
@@ -299,7 +286,7 @@ def _run_geometric(kernel: KernelSpec, steps: int, x0: float, limit: float):
                     u[p - pre - 1 : p] *= _RENORM_FACTOR
                 total = scaled
                 pw /= _RENORM_FACTOR
-    return _cut(x, limit)
+    return _cut(x, bound)
 
 
 def _reduce(v: float, q: float, k: int) -> float:
@@ -321,11 +308,11 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     the lower-triangular Toeplitz system (I - L) x = rhs, whose inverse is the
     Toeplitz matrix of the resolvent r = 1/(1 - a(z)): r is the x_0 = 1
     trajectory, computed once by the direct recursion, and each block is one
-    convolution with it.  The first block that breaks ``_cut``'s stop rule
-    ends the run.  Kernels needing the q^n rescale, or whose resolvent leaves
-    float range within one block, keep the direct path.
+    convolution with it.  The first block with an x_n that fails
+    |x_n| <= bound ends the run.  Kernels needing the q^n rescale, or whose
+    resolvent leaves float range within one block, keep the direct path.
     """
-    limit = _limit(steps, x0, thresholds)
+    bound = _limit(steps, x0, thresholds)
     if radius_of_convergence(kernel) < 1.0:
         return solve(kernel, steps, x0, thresholds)
 
@@ -333,7 +320,7 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     base = max(16, 1 << math.ceil(math.log2(math.sqrt(steps))))
     width = min(base, steps)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing resolvent only selects the direct path
-        r, _, r_overflow = _run_plain(a[:width], width - 1, 1.0, math.inf)
+        r, _, r_overflow = _run_plain(a[:width], width - 1, 1.0, sys.float_info.max)
     if r_overflow:
         return solve(kernel, steps, x0, thresholds)
     x = np.zeros(steps + 1)
@@ -342,7 +329,7 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
 
     def run_base(lo: int, hi: int) -> bool:
         x[lo:hi] = np.convolve(r[: hi - lo], contrib[lo:hi])[: hi - lo]
-        return _cut(x[lo - 1 : hi], limit)[1]
+        return not np.all(np.abs(x[lo:hi]) <= bound)
 
     @functools.cache
     def a_hat(span: int, nfft: int) -> np.ndarray:
@@ -372,7 +359,7 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
 
     with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
         recurse(1, steps + 1)
-    values, truncated, overflow = _cut(x, limit)
+    values, truncated, overflow = _cut(x, bound)
     return Trajectory(values, kernel_id(kernel), "fft_blocked", x0, truncated, overflow)
 
 

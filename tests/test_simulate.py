@@ -142,12 +142,13 @@ def test_nonfinite_x0_rejected(run, x0):
         run(renewal_kernel(), 3, x0=x0)
 
 
-def test_solve_overflow_flags():
-    # jump from moderate values straight past float range, also where the
-    # stop limit, ten times the cutoff, is inf
+@pytest.mark.parametrize("run", [solve, solve_fast])
+def test_solve_overflow_flags(run):
+    # jump from moderate values straight past float range, also where ten
+    # times the cutoff is inf and the stop bound is the largest float
     k = KernelSpec((1e300,), TailModel.zero())
     for cutoff in (1e12, 1e308):
-        t = solve(k, 10, x0=1e-290, thresholds=Thresholds(unbounded_cutoff=cutoff))
+        t = run(k, 10, x0=1e-290, thresholds=Thresholds(unbounded_cutoff=cutoff))
         assert t.overflow and t.truncated
         assert np.all(np.isfinite(t.values))
         assert len(t.values) == 2  # x0, x1 = 1e10; x2 overflows
@@ -282,9 +283,10 @@ def test_geometric_path_skips_a_rescale_that_would_overflow_the_sum():
 @pytest.mark.parametrize("run", [solve, solve_fast])
 def test_geometric_tail_never_runs_the_quadratic_sum(run, monkeypatch):
     def forbidden(*args):
-        raise AssertionError("_inner_dot called")
+        raise AssertionError("quadratic sum called")
 
-    monkeypatch.setattr(simulate_mod, "_inner_dot", forbidden)
+    monkeypatch.setattr(simulate_mod, "_run_plain", forbidden)
+    monkeypatch.setattr(simulate_mod, "_run_scaled", forbidden)
     assert len(run(geometric_null_kernel(3.0), 2**14)) == 2**14 + 1
     assert len(run(_ITEM9, 2**14)) == 2**14 + 1
     if run is solve:
@@ -316,7 +318,7 @@ def test_geometric_tail_after_a_long_prefix_matches_the_direct_sum(monkeypatch, 
         k = KernelSpec(tuple(a / a.sum()), TailModel.zero())
     else:  # 0.7 in the prefix, 0.3 in the tail 0.99^n c
         k = KernelSpec(tuple(0.7 * a / a.sum()), TailModel.parametric(0.3 * 0.01 / 0.99 ** (pre + 1), 0.99))
-    want = simulate_mod._run_plain(simulate_mod.terms(k, 3000), 3000, 1.0, math.inf)[0]
+    want = simulate_mod._run_plain(simulate_mod.terms(k, 3000), 3000, 1.0, sys.float_info.max)[0]
     monkeypatch.setattr(simulate_mod, "_SCAN", 50)
     got = solve(k, 3000).values
     assert len(got) == len(want) == 3001
@@ -386,12 +388,21 @@ def test_fast_truncates_like_direct():
     assert np.max(np.abs(a.values - b.values) / scale) <= 1e-9
 
 
-@pytest.mark.parametrize("prefix", [(1000.0,), (8.0,)])
-def test_fast_resolvent_overflow_keeps_direct_flags(prefix):
+@pytest.mark.parametrize(
+    "k",
+    [
+        KernelSpec((1000.0,), TailModel.zero()),
+        KernelSpec((8.0,), TailModel.zero()),
+        # positive terms only: the resolvent reaches inf with no nan on the way,
+        # so only its stop bound, the largest float and not inf, flags it
+        KernelSpec((), TailModel.parametric(1e155, 0.5)),
+    ],
+    ids=["prefix_1000", "prefix_8", "tail_1e155"],
+)
+def test_fast_resolvent_overflow_keeps_direct_flags(k):
     # the resolvent 1/(1 - a(z)) leaves float range inside the first base
     # block while x0 * r stays finite: blocks built from the cut-short
     # resolvent would miss the step where the direct recursion truncates
-    k = KernelSpec(prefix, TailModel.zero())
     a = solve(k, 2**17, x0=1e-300)
     b = solve_fast(k, 2**17, x0=1e-300)
     assert (len(b), b.truncated, b.overflow) == (len(a), a.truncated, a.overflow)
@@ -549,7 +560,7 @@ def test_huge_q_does_not_raise(run, kernel):
 
 def test_solve_bits_do_not_depend_on_blas_threads():
     # np.dot over more than 10,000 elements gives different bits under one and
-    # two OpenBLAS threads; _inner_dot's fsum over fixed chunks keeps solve's
+    # two OpenBLAS threads; _dot's fsum over fixed chunks keeps solve's
     # bits the same
     src = str(Path(volterra_stability.__file__).resolve().parent.parent)
     code = (
