@@ -6,7 +6,7 @@ stability notions the certificate layer reports.
 
 Two evaluation strategies share one contract: ``solve`` is the direct
 recursion, ``solve_fast`` seeds x_0's share a_n x_0 of every x_n, accumulates
-past-block contributions to future indices with FFT convolutions
+past-block contributions to future indices with middle-product convolutions
 (divide-and-conquer blocking) and solves each base block as one convolution
 with the first values of that canonical trajectory, the resolvent
 1/(1 - a(z)); numpy is its only dependency.  Every path stops at the first
@@ -20,7 +20,8 @@ instead of overflowing.  The direct recursion picks its path by the tail's
 shape.  A tail without polynomial factors (alpha = beta = 0, the zero tail
 included) has a rational generating function: the whole tail's share of x_n
 is one running sum, so each step costs O(N) for a prefix of N terms, whatever
-q is.  Any other tail is summed over the whole history, quadratic in the steps.
+q is.  With R >= 1 any other tail, like every block exchange of solve_fast,
+reads only x_{n-K}..x_{n-1}, K the index of the last nonzero a_k up to a_steps.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Threshold
 
     O(N) work per step for a tail c q^n (alpha = beta = 0, or q = 0, whose
     terms are all 0) after a prefix of N terms, ``_run_geometric``; O(steps^2) for
-    any other tail, on a_n / q^n when R < 1 (``_run_scaled``), else on a_n.
+    any other tail with R < 1, on a_n / q^n (``_run_scaled``); else O(K) per step
+    on a_n, K the index of the last nonzero a_k up to a_steps (``_run_plain``).
     """
     bound = _limit(steps, x0, thresholds)
     with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
@@ -179,12 +181,20 @@ def solve(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Threshold
     return Trajectory(values, kernel_id(kernel), "direct", x0, truncated, overflow)
 
 
+def _last_nonzero(a: np.ndarray) -> int:
+    """K, the index of the last nonzero a_k or 0, by one chunked reverse scan."""
+    j = _first(a[::-1], 0, lambda v: v != 0.0)
+    return 0 if j is None else len(a) - 1 - j
+
+
 def _run_plain(a: np.ndarray, steps: int, x0: float, bound: float):
-    a_rev = _reversed_coeffs(a)
+    last = _last_nonzero(a)
+    a_rev = _reversed_coeffs(a[: last + 1])
     x = np.zeros(steps + 1)
     x[0] = x0
     for n in range(1, steps + 1):
-        v = x[n] = _dot(a_rev[steps - n :], x[:n])
+        m = n if n < last else last  # min(n, K), cheaper: older x_i meet only a_k = 0
+        v = x[n] = _dot(a_rev[last - m :], x[n - m : n])
         if not abs(v) <= bound:
             break
     return _cut(x, bound)
@@ -303,14 +313,15 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
     """Blocked-convolution evaluation; same contract as ``solve``.
 
     x_0's share a_n x_0 of every x_n is seeded up front, so the blocks cover
-    x_1..x_steps alone.  Past-block contributions to future indices are
-    accumulated with FFT convolutions.  Inside a base block the recursion is
-    the lower-triangular Toeplitz system (I - L) x = rhs, whose inverse is the
-    Toeplitz matrix of the resolvent r = 1/(1 - a(z)): r is the x_0 = 1
-    trajectory, computed once by the direct recursion, and each block is one
-    convolution with it.  The first block with an x_n that fails
-    |x_n| <= bound ends the run.  Kernels needing the q^n rescale, or whose
-    resolvent leaves float range within one block, keep the direct path.
+    x_1..x_steps alone.  A block's share of the next K indices, K the last k
+    with a_k != 0, is the middle of a direct or FFT convolution.  Inside a
+    base block the recursion is the lower-triangular Toeplitz system
+    (I - L) x = rhs, whose inverse is the Toeplitz matrix of the resolvent
+    r = 1/(1 - a(z)): r is the x_0 = 1 trajectory, computed once by the
+    direct recursion, and each block is one convolution with it.  The first
+    block with an x_n that fails |x_n| <= bound ends the run.  Kernels needing
+    the q^n rescale, or whose resolvent leaves float range within one block,
+    keep the direct path.
     """
     bound = _limit(steps, x0, thresholds)
     if radius_of_convergence(kernel) < 1.0:
@@ -323,6 +334,7 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         r, _, r_overflow = _run_plain(a[:width], width - 1, 1.0, sys.float_info.max)
     if r_overflow:
         return solve(kernel, steps, x0, thresholds)
+    last = _last_nonzero(a)
     x = np.zeros(steps + 1)
     x[0] = x0
     contrib = a * x0
@@ -340,12 +352,12 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         seg = x[lo:mid]
         span = hi - lo
         if seg.shape[0] * (span - 1) <= 65536:
-            conv = np.convolve(seg, a[1:span])
+            contrib[mid:hi] += np.convolve(seg, a[1:span], "valid")
         else:
-            nfft = _fast_len(seg.shape[0] + span - 2)
+            # the middle product: a circular length of span - 1 or more wraps only the dropped outputs
+            nfft = 1 << (span - 2).bit_length()
             coef = a_hat(span, nfft)  # before seg's transform, which a cache miss would otherwise hold in memory
-            conv = np.fft.irfft(np.fft.rfft(seg, nfft) * coef, nfft)
-        contrib[mid:hi] += conv[mid - lo - 1 : hi - lo - 1]
+            contrib[mid:hi] += np.fft.irfft(np.fft.rfft(seg, nfft) * coef, nfft)[mid - lo - 1 : span - 1]
 
     def recurse(lo: int, hi: int) -> bool:
         """Fill x[lo:hi]; True once the stop rule ends the run."""
@@ -354,18 +366,14 @@ def solve_fast(kernel: KernelSpec, steps: int, x0: float = 1.0, thresholds: Thre
         mid = (lo + hi) // 2
         if recurse(lo, mid):
             return True
-        cross(lo, mid, hi)
+        if last:  # x_i reaches x_n only when n - i <= K
+            cross(max(lo, mid - last), mid, min(hi, mid + last))
         return recurse(mid, hi)
 
     with np.errstate(over="ignore", invalid="ignore"):  # _cut reports an overflow
         recurse(1, steps + 1)
     values, truncated, overflow = _cut(x, bound)
     return Trajectory(values, kernel_id(kernel), "fft_blocked", x0, truncated, overflow)
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 2^k * f >= n with f in {1, 3, 5}: an FFT length pocketfft runs fast."""
-    return min(f << (-(-n // f) - 1).bit_length() for f in (1, 3, 5))
 
 
 def classify(trajectory: Trajectory, thresholds: Thresholds | None = None) -> EmpiricalVerdict:

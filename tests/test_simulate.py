@@ -128,9 +128,13 @@ def test_solve_early_exit_flags(run):
 
 @pytest.mark.parametrize("run", [solve, solve_fast])
 def test_x0_never_stops_a_run(run):
-    # the stop rule scans x_1, x_2, ...: an x0 beyond the cutoff is the caller's value
-    t = run(KernelSpec((), TailModel.zero()), 2**14, x0=1e20)
-    assert len(t.values) == 2**14 + 1 and not t.truncated and not t.overflow
+    # the stop rule scans x_1, x_2, ...: an x0 beyond the cutoff is the caller's
+    # value.  Every a_k is 0 (K = 0: no history sum and no cross), the second
+    # kernel's because q^k underflows from k = 3 on, so it takes _run_plain
+    for k in (KernelSpec((), TailModel.zero()), KernelSpec((0.0, 0.0), TailModel.parametric(1.0, 1e-200, 1.0, 0.0))):
+        t = run(k, 2**14, x0=1e20)
+        assert len(t.values) == 2**14 + 1 and not t.truncated and not t.overflow
+        assert not np.any(t.values[1:])
     t = run(KernelSpec((0.5,), TailModel.zero()), 2**14, x0=1e20)
     assert len(t.values) == 2 and t.truncated and not t.overflow
 
@@ -325,6 +329,62 @@ def test_geometric_tail_after_a_long_prefix_matches_the_direct_sum(monkeypatch, 
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum.accumulate(np.abs(want)))
 
 
+def _whole_history(a, steps, x0=1.0):
+    # the sum over the whole history that _run_plain ran before it stopped at
+    # the last nonzero a_K: x_n = a_n x_0 + ... + a_1 x_{n-1} for every n
+    a_rev = np.ascontiguousarray(a[1:][::-1])
+    x = np.zeros(steps + 1)
+    x[0] = x0
+    for n in range(1, steps + 1):
+        x[n] = simulate_mod._dot(a_rev[steps - n :], x[:n])
+        if not abs(x[n]) <= 1e13:
+            break
+    return simulate_mod._cut(x, 1e13)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        KernelSpec((0.3, -0.2), TailModel.parametric(0.4, 0.5, 1.0, 0.0)),
+        KernelSpec((0.9,), TailModel.parametric(0.5, -0.7, 0.0, 2.0)),
+        KernelSpec((0.5, 0.52), TailModel.parametric(0.01, 0.6, 2.0, 0.0)),
+    ],
+    ids=["decaying", "alternating", "truncated"],
+)
+def test_solve_stops_the_history_sum_at_the_last_nonzero_term(k):
+    # |q| < 1 with a polynomial factor: the terms underflow to 0 past some K
+    # below the step count, and each x_n sums only x_{n-K}..x_{n-1}
+    steps = 3000
+    a = simulate_mod.terms(k, steps)
+    last = simulate_mod._last_nonzero(a)
+    assert 0 < last < steps and a[last] != 0.0 and not np.any(a[last + 1 :])
+    want, truncated, overflow = _whole_history(a, steps)
+    t = solve(k, steps)
+    assert (len(t), t.truncated, t.overflow) == (len(want), truncated, overflow)
+    assert np.array_equal(t.values[: last + 1], want[: last + 1])
+    assert np.all(np.abs(t.values - want) <= 1e-13 * np.maximum.accumulate(np.abs(want)))
+
+
+@pytest.mark.parametrize("run", [solve, solve_fast])
+@pytest.mark.parametrize("last", [512, 683])
+def test_the_last_nonzero_term_alone_drives_the_run(run, last):
+    # a_K = 2 and every other a_k = 0 (the tail's q^k underflows past K), so
+    # x_n = 2^(n/K) where K divides n and 0 elsewhere.  solve_fast's first
+    # cross at 4,096 steps splits at 2,049 = 4 * 512 + 1 = 3 * 683: the pair
+    # x_2048, x_2560 sits on the upper edge of its window at K = 512, and the
+    # pair x_1366, x_2049 on the lower edge at K = 683.  A sum or a cross that
+    # stops one term short loses them and every x_n after them
+    k = KernelSpec((0.0,) * (last - 1) + (2.0,), TailModel.parametric(1.0, 1e-10, 1.0, 0.0))
+    assert simulate_mod._last_nonzero(simulate_mod.terms(k, 4096)) == last
+    t = run(k, 4096)
+    want = np.zeros(4097)
+    want[::last] = 2.0 ** np.arange(4096 // last + 1)
+    assert len(t) == 4097 and not t.truncated and not t.overflow
+    assert np.all(np.abs(t.values - want) <= 1e-13 * np.maximum.accumulate(want))
+    if run is solve:
+        assert np.array_equal(t.values, want)
+
+
 def test_scaling_equivariance():
     k = KernelSpec((0.4, -0.3), TailModel.parametric(0.5, 0.7, 1.0, 0.0))
     beta = -2.5
@@ -366,6 +426,36 @@ def test_fast_matches_direct_on_renewal():
     a = solve(renewal_kernel(), steps).values
     b = solve_fast(renewal_kernel(), steps).values
     assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_fast_matches_direct_on_renewal_at_power_of_two_spans():
+    # at 2^15 steps every cross spans a power of two, and its circular
+    # convolution is span long: one more than the span - 1 it needs
+    steps = 2**15
+    a = solve(renewal_kernel(), steps).values
+    b = solve_fast(renewal_kernel(), steps).values
+    assert len(a) == len(b) == steps + 1
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum.accumulate(np.abs(a)))
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        KernelSpec((0.3, -0.2), TailModel.parametric(0.4, 0.5, 1.0, 0.0)),
+        KernelSpec((0.9,), TailModel.parametric(0.5, -0.7, 0.0, 2.0)),
+        KernelSpec((), TailModel.parametric(0.9, 0.95, 1.0, 1.0)),
+    ],
+)
+def test_fast_matches_direct_when_the_terms_end_early(k):
+    # K is about 1,000 to 14,000 of 2^15 steps: each cross reads only the K
+    # values before its midpoint and adds to only the K after it
+    steps = 2**15
+    assert simulate_mod._last_nonzero(simulate_mod.terms(k, steps)) < steps // 2
+    a = solve(k, steps)
+    b = solve_fast(k, steps)
+    assert b.method == "fft_blocked"
+    assert (len(b), b.truncated, b.overflow) == (len(a), a.truncated, a.overflow)
+    assert np.all(np.abs(a.values - b.values) <= 1e-12 * np.maximum.accumulate(np.abs(a.values)))
 
 
 def test_fast_geometric_null_p2():
@@ -561,13 +651,15 @@ def test_huge_q_does_not_raise(run, kernel):
 def test_solve_bits_do_not_depend_on_blas_threads():
     # np.dot over more than 10,000 elements gives different bits under one and
     # two OpenBLAS threads; _dot's fsum over fixed chunks keeps solve's
-    # bits the same
+    # bits the same.  The last kernel's terms end at K = 14,322 of 2^15, so
+    # its history sums pass _COMPENSATE_FROM after the stop at K as well
     src = str(Path(volterra_stability.__file__).resolve().parent.parent)
     code = (
         "import hashlib, volterra_stability as vs; "
-        "ks = [vs.load_fixture('renewal'), vs.load_fixture('geometric_null'), "
-        "vs.KernelSpec((0.3, -0.2), vs.TailModel.parametric(0.4, 0.9, 1.0, 0.0))]; "
-        "print([hashlib.sha256(vs.solve(k, 2**14).values.tobytes()).hexdigest() for k in ks])"
+        "ks = [(vs.load_fixture('renewal'), 2**14), (vs.load_fixture('geometric_null'), 2**14), "
+        "(vs.KernelSpec((0.3, -0.2), vs.TailModel.parametric(0.4, 0.9, 1.0, 0.0)), 2**14), "
+        "(vs.KernelSpec((0.3, -0.2), vs.TailModel.parametric(0.4, 0.95, 1.0, 0.0)), 2**15)]; "
+        "print([hashlib.sha256(run(k, n).values.tobytes()).hexdigest() for k, n in ks for run in (vs.solve, vs.solve_fast)])"
     )
     out = []
     for threads in ("1", "2"):
