@@ -24,7 +24,7 @@ import numpy as np
 from .charfun import (
     NonConvergence,
     RootSet,
-    _circle_modulus,
+    _circle_values,
     _zeros_inside,
     e_bounds,
     maximize_delta,
@@ -320,17 +320,15 @@ def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
     if not moment.is_finite:
         return _na("MarginalStable", HEURISTIC, reason="first absolute moment not finite", status=moment.status)
     coeffs = sn_coefficients(kernel, n)
-    theta, z, vals = _circle_modulus(coeffs, g)
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    idx = np.nonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= left) & (vals <= right))[0]
+    vals = np.abs(_circle_values(coeffs[::-1], g))
+    idx = np.flatnonzero((vals < _CIRCLE_NEAR_ZERO) & (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
     if idx.size == 0:
         return _na("MarginalStable", HEURISTIC, reason="no near-zero on the circle", circle_min=float(np.min(vals)))
     if idx.size > 1 and np.min(np.diff(idx, append=idx[0] + g)) < 8:
         return _na("MarginalStable", HEURISTIC, reason="circle zeros not isolated on the grid")
     zeros = []
     for i in idx:
-        m0 = float(vals[i])
+        theta, m0 = float(i * (2.0 * np.pi / g)), float(vals[i])
         m1 = 0.5 * (vals[(i - 1) % g] + vals[(i + 1) % g])
         m2 = 0.5 * (vals[(i - 2) % g] + vals[(i + 2) % g])
         if m1 <= 0.0 or not (m0 <= 0.6 * m1 and 1.4 <= m2 / m1 <= 2.6):
@@ -338,10 +336,11 @@ def _marginal_stable(kernel: KernelSpec, n: int, g: int) -> Certificate:
                 "MarginalStable",
                 HEURISTIC,
                 reason="near-zero without locally linear growth",
-                theta=float(theta[i]),
+                theta=theta,
                 profile=[m0, float(m1), float(m2)],
             )
-        zeros.append({"theta": float(theta[i]), "re": float(z[i].real), "im": float(z[i].imag), "value": m0})
+        z = np.exp(1j * theta)
+        zeros.append({"theta": theta, "re": float(z.real), "im": float(z.imag), "value": m0})
     # s_n has no zero in |z| < 1 - 1e-6 when the winding count, its wide steps
     # bisected, reads 0; a positive count, or none, declines with the count
     count = _zeros_inside(coeffs, 1.0 - 1e-6)

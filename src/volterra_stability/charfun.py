@@ -200,36 +200,36 @@ def e_bounds(roots: RootSet) -> EBound:
         return EBound("E1" if outside == n else "E2", float(np.min(np.abs(1.0 - m)) ** n), 1.0)
 
 
-def _circle_modulus(coeffs: np.ndarray, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles theta, points z = e^(i theta) and |s_n(z)| on a uniform unit-circle grid (coeffs from sn_coefficients)."""
-    theta = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    z = np.exp(1j * theta)
-    return theta, z, np.abs(np.polyval(coeffs, z))
+def _circle_values(x: np.ndarray, g: int) -> np.ndarray:
+    """s_n(rho e^(2 pi i j/G)), j = 0..G-1, from x_k = rho^k [z^k] s_n, lowest
+    order first: one FFT of x folded modulo G, so G < n + 1 is valid."""
+    return np.fft.ifft(np.bincount(np.arange(len(x)) % g, x, g), norm="forward")
 
 
 def _zeros_inside(coeffs: np.ndarray, rho: float) -> int | None:
     """Zeros of s_n in |z| < rho by the argument principle: the summed principal
-    arguments of f_{j+1}/f_j, f_j = s_n(rho e^(2 pi i j/G)), from one FFT with G
-    the smallest power of two >= max(4096, 2(n + 1)) and h = 2 pi/G.  A simple
+    arguments of f_{j+1}/f_j, f_j = s_n(rho e^(2 pi i j/G)) from _circle_values,
+    G the smallest power of two >= max(4096, 2(n + 1)) and h = 2 pi/G.  A simple
     zero between a sampled chord and the arc, at most rho h^2/8 inside rho, has
     its step within rho h/2 of +-pi, so a step wider than 0.75 pi is bisected by
     Horner values at arc midpoints until each sub-step is at most 0.75 pi.  None
     when a value is not finite or within its rounding floor of 0, or an arc's
     midpoint equals an end.  With x_k = rho^k [z^k] s_n, an FFT value's floor is
-    4 times Higham's bound log2(G) 4 eps sqrt(G) ||x||_2 (Thm 24.2), a Horner
-    value's gamma_(7(m+1)) Sum |x_k|, m = deg s_n: 6 roundings a step (3 a complex
-    product, Lemma 3.5, 1 the sum, 2 |e^(i theta)|), m + 1 for Sum |x_k| and 1
-    for the product.  A cluster of k >= 2 zeros within about h of the circle can
-    turn one step by 2 pi unseen; the count still books at least k/2 of an
-    inside cluster, so it reads 0 only when no zero is inside.
-    """
+    Higham's t/(1 - t) sqrt(G) ||x||_2, t = log2(G) (mu + gamma_4 (sqrt 2 + mu))
+    (Thm 24.2), assuming pocketfft's twiddle factors within mu = gamma_2 of exact,
+    padded by gamma_(n+14): n + 2 for the norm (a dot, a sqrt), 12 for the bound
+    and its pad.  A Horner value's is gamma_(7(m+1)) Sum |x_k|, m = deg s_n: 6
+    roundings a step (3 a complex product, Lemma 3.5, 1 the sum, 2 |e^(i theta)|),
+    m + 1 for Sum |x_k|, 1 for the product.  A cluster of k >= 2 zeros within
+    about h of the circle can turn one step by 2 pi unseen; the count still books
+    at least k/2 of an inside cluster, so it reads 0 only when no zero is inside."""
     g = 1 << max(12, (2 * len(coeffs) - 1).bit_length())
     with np.errstate(all="ignore"):
         x = coeffs[::-1] * rho ** np.arange(len(coeffs))
-        # fft(...)[::-1] runs counterclockwise, f[j] at theta = 2 pi (j + 1)/G
-        f = np.fft.fft(x, g)[::-1]
+        f = _circle_values(x, g)
         steps = np.angle(np.roll(f, -1) / f)
-        noise = 16.0 * np.finfo(float).eps * math.log2(g) * math.sqrt(g) * np.linalg.norm(x)
+        t = math.log2(g) * (_gamma(2) + _gamma(4) * (math.sqrt(2.0) + _gamma(2)))
+        noise = t / (1.0 - t) * math.sqrt(g) * float(np.linalg.norm(x)) * (1.0 + _gamma(len(x) + 13))
         floor = _gamma(7 * len(np.trim_zeros(x, "b"))) * float(np.sum(np.abs(x)))
         if not (np.all(np.isfinite(steps)) and np.min(np.abs(f)) > noise):
             return None
@@ -244,14 +244,15 @@ def _zeros_inside(coeffs: np.ndarray, rho: float) -> int | None:
             return turn(a, mid, fa, fm) + turn(mid, b, fm, fb)
 
         for j in np.flatnonzero(np.abs(steps) > 0.75 * math.pi):
-            steps[j] = turn(2.0 * math.pi * (j + 1) / g, 2.0 * math.pi * (j + 2) / g, f[j], f[(j + 1) % g])
+            steps[j] = turn(2.0 * math.pi * j / g, 2.0 * math.pi * (j + 1) / g, f[j], f[(j + 1) % g])
     return None if np.isnan(steps).any() else round(float(np.sum(steps)) / (2.0 * math.pi))
 
 
 def circle_min_modulus(kernel: KernelSpec, n: int, grid_points: int) -> tuple[float, complex]:
-    """Minimum of |s_n| over a uniform grid on the unit circle, with argmin."""
+    """Minimum of |s_n| over a uniform grid on the unit circle, with argmin:
+    O(n + G log G) by _circle_values."""
     _require("grid_points", grid_points, 16, _MAX_GRID_POINTS)
     _require("n", n, 1)
-    _, z, vals = _circle_modulus(sn_coefficients(kernel, n), grid_points)
+    vals = np.abs(_circle_values(sn_coefficients(kernel, n)[::-1], grid_points))
     i = int(np.argmin(vals))
-    return float(vals[i]), complex(z[i])
+    return float(vals[i]), complex(np.exp(1j * (i * (2.0 * math.pi / grid_points))))

@@ -2,9 +2,10 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from volterra_stability import (
     DomainError,
@@ -18,7 +19,9 @@ from volterra_stability import (
     partial_sum_eval,
     pn_roots,
 )
-from volterra_stability.charfun import _polish_roots, _zeros_inside, pn_coefficients, sn_coefficients
+from volterra_stability import test_marginal_stable as check_marginal_stable
+from volterra_stability.charfun import _circle_values, _polish_roots, _zeros_inside, pn_coefficients, sn_coefficients
+from volterra_stability.kernel import _gamma
 
 from conftest import (
     alternating_cubic_kernel,
@@ -331,6 +334,24 @@ def test_circle_min_validates_grid():
         circle_min_modulus(renewal_kernel(), 0, 64)
 
 
+def test_circle_values_fold_the_coefficients_past_the_grid():
+    # G < n + 1: each circle value must come from s_n folded modulo G, not from
+    # its first G coefficients (alternating_cubic's |s_63(-1)| is 1.0e-4 where
+    # |s_200(-1)| is 1.0e-5); both sides within the Horner floor
+    # gamma_(7(n+1)) Sum |x_k|
+    k = alternating_cubic_kernel()
+    sn = sn_coefficients(k, 200)
+    tol = 2.0 * _gamma(7 * sn.size) * float(np.sum(np.abs(sn)))
+    val, z = circle_min_modulus(k, 200, 64)
+    grid = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    assert val == pytest.approx(float(np.min(np.abs(np.polyval(sn, grid)))), abs=tol)
+    assert val == pytest.approx(abs(np.polyval(sn, z)), abs=tol)
+    cert = check_marginal_stable(k, 200, 128)
+    assert cert.fired
+    for zero in cert.witness["circle_zeros"]:
+        assert zero["value"] == pytest.approx(abs(np.polyval(sn, complex(zero["re"], zero["im"]))), abs=tol)
+
+
 def test_sn_pn_coefficient_layout():
     k = rouche_stable_pair_kernel()
     sn = sn_coefficients(k, 2)
@@ -388,6 +409,27 @@ def test_zeros_inside_agrees_with_pn_roots(data):
     except NonConvergence:
         return
     assert count is None or count == int(np.sum(roots.moduli > _MARGINAL_ROOT_SLACK)), (count, roots.r_n)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 2000), log_g=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_circle_values_counted_fft_bound_contains_mpmath(n, log_g, seed):
+    # _zeros_inside's FFT floor: every value lies within Higham's bound
+    # (Thm 24.2) t/(1 - t) sqrt(G) ||x||_2 of s_n at the exact angle, with
+    # pocketfft's twiddle factors assumed within gamma_2 of exact; random
+    # coefficients of either sign from 1e-3 to 1e5, G >= n + 1 so nothing
+    # folds, the reference at 40 digits with exact angles pi (2j/G)
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-3.0, 5.0, n + 1)
+    g = 1 << (max(4, n.bit_length()) + log_g)
+    f = _circle_values(x, g)
+    t = math.log2(g) * (_gamma(2) + _gamma(4) * (math.sqrt(2.0) + _gamma(2)))
+    bound = t / (1.0 - t) * math.sqrt(g) * float(np.linalg.norm(x)) * (1.0 + _gamma(n + 14))
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(v) for v in x[::-1]]
+        for j in rng.integers(0, g, 4):
+            exact = mpmath.polyval(coeffs, mpmath.expjpi(mpmath.mpf(2 * int(j)) / g))
+            assert abs(mpmath.mpc(f[j]) - exact) <= bound, (j, f[j], exact, bound)
 
 
 def test_zeros_inside_gives_up_below_the_fft_noise():
